@@ -10,23 +10,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import Basis, MUPair
-from .errors import DimensionError
+from .errors import DimensionError, ParameterRangeError
 from .linalg import DEFAULT_TOL, Tolerance, as_vector
 
-# Descent leaves off and Gauss-Newton polishing takes over below this
-# objective value; polishing is only attempted below _POLISH_CUT.
-_SWITCH = 1e-13
-_POLISH_CUT = 1e-10
-_STEP_FLOOR = 1e-17
+# Levenberg-Marquardt damping: its starting value, and the value past which a
+# restart whose steps keep failing is given up as stalled.
+_DAMPING = 1e-3
+_DAMPING_CAP = 1e12
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Restart budget, seeding and acceptance thresholds for the search.
 
-    Restart k draws its start vector from a substream keyed by
-    (master_seed, k), so results do not depend on how restarts are batched
-    or scheduled.
+    Restart k draws its start phases from its own counter blocks of one
+    Philox stream keyed by master_seed, so results do not depend on how
+    restarts are batched or scheduled. max_iters caps the Levenberg-Marquardt iterations
+    of each restart; residual_tol is both where a restart stops and what it
+    must reach to be accepted.
     """
 
     restarts: int = 20000
@@ -37,11 +38,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
+            raise ParameterRangeError("restarts must be at least 1")
+        if not 0 <= self.master_seed < 2**128:
+            raise ParameterRangeError("master_seed must lie in [0, 2**128)")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+            raise ParameterRangeError("max_iters must be at least 1")
         if not (self.residual_tol > 0.0 and self.cluster_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
+            raise ParameterRangeError("tolerances must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,8 @@ def mu_residual(v, pair: MUPair) -> float:
     vec = as_vector(v)
     if vec.shape[0] != pair.dim:
         raise DimensionError(f"vector has dimension {vec.shape[0]}, pair has {pair.dim}")
-    basis = pair.basis_vectors()
-    target = 1.0 / pair.dim
-    devs = np.abs(basis.conj().T @ vec) ** 2 - target
-    return float(np.sum(devs * devs))
+    f, _ = _residual(_overlaps(vec[None, :], pair.basis_vectors().conj()), 1.0 / pair.dim)
+    return float(f[0])
 
 
 def _mu_residual_reversed(vec: np.ndarray, basis: np.ndarray, target: float) -> float:
@@ -107,92 +108,83 @@ def _mu_residual_reversed(vec: np.ndarray, basis: np.ndarray, target: float) -> 
     return math.fsum(terms)
 
 
-def _overlaps(v: np.ndarray, basis_conj: np.ndarray) -> np.ndarray:
-    """Overlaps <b|v> for a batch of rows v, accumulated in a fixed order over
-    the d components so results do not depend on the batch size."""
-    out = v[:, 0, None] * basis_conj[0]
-    for i in range(1, basis_conj.shape[0]):
-        out = out + v[:, i, None] * basis_conj[i]
+def _overlaps(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row-batched products v @ m, accumulated in a fixed order over the d
+    components so results do not depend on the batch size. With m the
+    conjugated basis vectors these are the overlaps <b|v>."""
+    out = v[:, 0, None] * m[0]
+    for i in range(1, m.shape[0]):
+        out = out + v[:, i, None] * m[i]
     return out
 
 
-def _objective(overlaps: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+def _residual(overlaps: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sum of (|<b|v>|^2 - target)^2, with the deviations inside it."""
     devs = np.abs(overlaps) ** 2 - target
     return np.sum(devs * devs, axis=1), devs
 
 
-def _gradient(v: np.ndarray, overlaps: np.ndarray, devs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Wirtinger gradient d residual / d conj(v), one row per batch row."""
-    weights = devs * overlaps
-    grad = np.zeros_like(v)
-    for b in range(basis.shape[1]):
-        grad = grad + weights[:, b, None] * basis[None, :, b]
-    return 2.0 * grad
+def _start_phases(master_seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
+    """Start phases of restarts lo..hi-1, the first phase pinned to 0.
 
-
-def _normalize_rows(v: np.ndarray) -> np.ndarray:
-    norms = np.sqrt(np.sum(np.abs(v) ** 2, axis=1))
-    return v / norms[:, None]
-
-
-def _descend(starts: np.ndarray, basis: np.ndarray, max_iters: int) -> tuple[np.ndarray, np.ndarray]:
-    """Projected descent with step halving on non-decrease, batched over rows.
-
-    All per-row updates are independent, so trajectories are identical no
-    matter how the restarts are chunked.
+    Each restart reads ceil((d - 1) / 4) counter blocks of four doubles,
+    restart k the k-th such run, of one Philox stream keyed by master_seed,
+    so it depends only on (master_seed, k).
     """
-    basis_conj = basis.conj()
-    target = 1.0 / basis.shape[0]
-    v = _normalize_rows(starts.copy())
-    overlaps = _overlaps(v, basis_conj)
-    f, devs = _objective(overlaps, target)
-    step = np.full(v.shape[0], 0.25)
-    active = np.nonzero((f > _SWITCH) & (step > _STEP_FLOOR))[0]
+    blocks = -(-(dim - 1) // 4)
+    bitgen = np.random.Philox(key=master_seed)
+    bitgen.advance(lo * blocks)
+    draws = np.random.Generator(bitgen).random((hi - lo, 4 * blocks))
+    phases = np.zeros((hi - lo, dim))
+    phases[:, 1:] = 2.0 * np.pi * draws[:, : dim - 1]
+    return phases
+
+
+def _solve_phases(
+    phases: np.ndarray, h_conj: np.ndarray, max_iters: int, tol: float
+) -> np.ndarray:
+    """Batched Levenberg-Marquardt on the d - 1 free phases of
+    u = e^{i phases} / sqrt(d), driving |(H^dagger u)_j|^2 to 1/d.
+
+    The d residuals sum to zero, so the system is square. Each row stops on
+    its own once its residual is <= tol or its damping passes _DAMPING_CAP,
+    and all per-row updates are independent, so trajectories are identical
+    no matter how the restarts are chunked. Returns the rows u.
+    """
+    d = phases.shape[1]
+    target = 1.0 / d
+
+    def evaluate(phi: np.ndarray) -> tuple[np.ndarray, ...]:
+        u = np.exp(1j * phi) / math.sqrt(d)
+        w = _overlaps(u, h_conj)
+        f, r = _residual(w, target)
+        return u, w, r, f
+
+    f = evaluate(phases)[3]
+    damping = np.full(len(phases), _DAMPING)
+    active = np.nonzero(f > tol)[0]
     for _ in range(max_iters):
         if active.size == 0:
             break
-        grad = _gradient(v[active], overlaps[active], devs[active], basis)
-        trial = _normalize_rows(v[active] - step[active, None] * grad)
-        t_overlaps = _overlaps(trial, basis_conj)
-        t_f, t_devs = _objective(t_overlaps, target)
-        better = t_f < f[active]
+        u, w, r, _ = evaluate(phases[active])
+        # d r_j / d phi_k = 2 Re(conj(w_j) i conj(H_kj) u_k) for k = 1..d-1.
+        jac = -2.0 * (w.conj()[:, :, None] * h_conj.T[None, :, 1:] * u[:, None, 1:]).imag
+        jtj = damping[active, None, None] * np.eye(d - 1)
+        jtr = np.zeros((active.size, d - 1))
+        for j in range(d):
+            jtj = jtj + jac[:, j, :, None] * jac[:, j, None, :]
+            jtr = jtr + jac[:, j, :] * r[:, j, None]
+        trial = phases[active]
+        trial[:, 1:] -= np.linalg.solve(jtj, jtr[:, :, None])[:, :, 0]
+        trial_f = evaluate(trial)[3]
+        better = trial_f < f[active]
         took = active[better]
-        v[took] = trial[better]
-        overlaps[took] = t_overlaps[better]
-        devs[took] = t_devs[better]
-        f[took] = t_f[better]
-        step[took] = np.minimum(step[took] * 1.5, 1.0)
-        stalled = active[~better]
-        step[stalled] = step[stalled] * 0.5
-        active = active[(f[active] > _SWITCH) & (step[active] > _STEP_FLOOR)]
-    return v, f
-
-
-def _polish(v: np.ndarray, basis: np.ndarray, iters: int = 4) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Gauss-Newton refinement of near-solutions, batched.
-
-    Works on the 2d real coordinates of each vector with renormalization
-    after every step; the damping absorbs the global-phase null direction.
-    """
-    basis_conj = basis.conj()
-    d = basis.shape[0]
-    m = basis.shape[1]
-    target = 1.0 / d
-    v = v.copy()
-    for _ in range(iters):
-        overlaps = _overlaps(v, basis_conj)
-        r = np.abs(overlaps) ** 2 - target
-        c = overlaps.conj()[:, :, None] * basis_conj.T[None, :, :]
-        jac = np.concatenate([2.0 * c.real, -2.0 * c.imag], axis=2)
-        jtj = np.einsum("nbk,nbl->nkl", jac, jac)
-        jtj += 1e-12 * np.eye(2 * d)[None, :, :]
-        rhs = np.einsum("nbk,nb->nk", jac, r)
-        delta = np.linalg.solve(jtj, rhs[:, :, None])[:, :, 0]
-        v = v - (delta[:, :d] + 1j * delta[:, d:])
-        v = _normalize_rows(v)
-    overlaps = _overlaps(v, basis_conj)
-    f, _ = _objective(overlaps, target)
-    return v, f
+        phases[took] = trial[better]
+        f[took] = trial_f[better]
+        damping[took] *= 0.1
+        damping[active[~better]] *= 10.0
+        active = active[(f[active] > tol) & (damping[active] < _DAMPING_CAP)]
+    return evaluate(phases)[0]
 
 
 def _gauge_fix(vec: np.ndarray) -> np.ndarray:
@@ -208,38 +200,32 @@ def _gauge_fix(vec: np.ndarray) -> np.ndarray:
     return vec * phase.conjugate()
 
 
-def _start_vector(master_seed: int, index: int, dim: int) -> np.ndarray:
-    rng = np.random.default_rng([master_seed, index])
-    z = rng.standard_normal(2 * dim)
-    return z[:dim] + 1j * z[dim:]
-
-
 def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVectorSet:
     """Collect, gauge-fix and cluster all vectors found MU to a pair.
 
-    Runs cfg.restarts independent seeded local minimizations of mu_residual
-    over the unit sphere, keeps solutions with residual <= cfg.residual_tol
-    that also pass an independently accumulated re-check, and greedily
-    clusters the survivors in canonical sorted order. Deterministic for a
-    given (pair, cfg); _chunk only controls batching and never the result.
+    Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
+    I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs cfg.restarts
+    independent seeded solves for the d - 1 free phases, pulls each back as
+    v = A u, keeps solutions with mu_residual <= cfg.residual_tol that also
+    pass an independently accumulated re-check, and greedily clusters the
+    survivors in canonical sorted order. Deterministic for a given
+    (pair, cfg); _chunk only controls batching and never the result.
     """
     d = pair.dim
+    a = pair.first.matrix
+    h_conj = a.T @ pair.second.matrix.conj()
     basis = pair.basis_vectors()
+    basis_conj = basis.conj()
     target = 1.0 / d
 
     solutions: list[np.ndarray] = []
     residuals: list[float] = []
     for lo in range(0, cfg.restarts, _chunk):
         hi = min(lo + _chunk, cfg.restarts)
-        starts = np.stack([_start_vector(cfg.master_seed, k, d) for k in range(lo, hi)])
-        v, f = _descend(starts, basis, cfg.max_iters)
-        near = np.nonzero(f <= _POLISH_CUT)[0]
-        if near.size:
-            polished, pf = _polish(v[near], basis)
-            v[near] = polished
-            f[near] = pf
-        keep = np.nonzero(f <= cfg.residual_tol)[0]
-        for idx in keep:
+        phases = _start_phases(cfg.master_seed, lo, hi, d)
+        v = _overlaps(_solve_phases(phases, h_conj, cfg.max_iters, cfg.residual_tol), a.T)
+        f, _ = _residual(_overlaps(v, basis_conj), target)
+        for idx in np.nonzero(f <= cfg.residual_tol)[0]:
             vec = v[idx]
             recheck = _mu_residual_reversed(vec, basis, target)
             if recheck <= 10.0 * cfg.residual_tol:

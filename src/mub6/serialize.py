@@ -19,37 +19,6 @@ from .linalg import format_matrix, parse_matrix
 from .search import ExtensionResult, MUVectorSet, OrthoGraph
 
 
-def basis_to_dict(basis: Basis) -> dict:
-    """Optional JSON wrapper for a single basis: dimension, inline matrix
-    text, and label names when product provenance is known."""
-    return {
-        "dim": basis.dim,
-        "matrix": format_matrix(basis.matrix),
-        "labels": None if basis.labels is None else [l.name for l in basis.labels],
-    }
-
-
-def basis_from_dict(data: dict) -> Basis:
-    """Read a basis wrapper; "matrix" may be inline text (contains newlines)
-    or a path to a matrix text file. Label names are informational and are
-    not reattached."""
-    try:
-        raw = data["matrix"]
-    except KeyError as exc:
-        raise FormatError("basis JSON is missing the 'matrix' key") from exc
-    if "\n" in raw:
-        matrix = parse_matrix(raw)
-    else:
-        with open(raw, "r", encoding="utf-8") as fh:
-            matrix = parse_matrix(fh.read())
-    basis = Basis(matrix)
-    if "dim" in data and int(data["dim"]) != basis.dim:
-        raise FormatError(
-            f"basis JSON declares dim {data['dim']} but the matrix has dim {basis.dim}"
-        )
-    return basis
-
-
 def pair_to_dict(pair: MUPair) -> dict:
     out: dict = {
         "first": format_matrix(pair.first.matrix),

@@ -159,6 +159,18 @@ def test_search_extend_and_ortho_graph(tmp_path, capsys):
     assert len(graph["edges"]) == 6
 
 
+def test_search_extend_rejects_bad_budget(tmp_path, capsys):
+    pair = MUPair(hw_eigenbasis(2, "z"), hw_eigenbasis(2, "x"))
+    pair_file = tmp_path / "pair2.json"
+    pair_file.write_text(dump_json(pair_to_dict(pair)))
+    for flag, value in (("--restarts", "0"), ("--restarts", "-5"), ("--seed", "-1")):
+        code, out, err = run_cli(capsys, "search-extend", "--pair", str(pair_file), flag, value)
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ParameterRangeError"
+        assert payload["message"]
+
+
 def test_search_extend_deterministic(tmp_path, capsys):
     pair = MUPair(hw_eigenbasis(2, "z"), hw_eigenbasis(2, "x"))
     pair_file = tmp_path / "pair2.json"
@@ -172,24 +184,6 @@ def test_search_extend_deterministic(tmp_path, capsys):
     )
     assert code == 0
     assert out1 == out2
-
-
-def test_basis_json_wrapper_round_trip(tmp_path):
-    from mub6 import make_family_pair
-    from mub6.serialize import basis_to_dict, basis_from_dict
-
-    basis = make_family_pair("P0").second
-    data = basis_to_dict(basis)
-    assert data["dim"] == 6
-    assert data["labels"][0] == "|0_x,0_x>"
-    back = basis_from_dict(data)
-    assert np.array_equal(back.matrix, basis.matrix)
-
-    # "matrix" may also point at a text file on disk.
-    path = tmp_path / "basis.txt"
-    path.write_text(data["matrix"])
-    from_path = basis_from_dict({"dim": 6, "matrix": str(path)})
-    assert np.array_equal(from_path.matrix, basis.matrix)
 
 
 def test_pair_json_round_trip_matches_memory(tmp_path, capsys):

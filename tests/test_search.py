@@ -26,6 +26,17 @@ def pair_zx_d3():
     return MUPair(hw_eigenbasis(3, "z"), hw_eigenbasis(3, "x"))
 
 
+def pairs_d3():
+    # Besides {Z, X}, two pairs whose first member A is not I, so the search's
+    # A^dagger frame change and its v = A u pull-back are exercised: on
+    # {X, Y} skipping either one loses vectors.
+    return [
+        pair_zx_d3(),
+        MUPair(hw_eigenbasis(3, "x"), hw_eigenbasis(3, "z")),
+        MUPair(hw_eigenbasis(3, "x"), hw_eigenbasis(3, "y")),
+    ]
+
+
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
@@ -67,29 +78,30 @@ def test_find_mu_vectors_d2():
 
 
 def test_find_mu_vectors_d3():
-    vecset = find_mu_vectors(pair_zx_d3(), SearchConfig(restarts=400, master_seed=0))
-    assert len(vecset) == 6
-    graph = orthogonality_graph(vecset)
-    assert len(graph.edges) == 6  # two disjoint triangles
-    degree = [0] * 6
-    for i, j in graph.edges:
-        degree[i] += 1
-        degree[j] += 1
-    assert degree == [2] * 6
+    for pair in pairs_d3():
+        vecset = find_mu_vectors(pair, SearchConfig(restarts=400, master_seed=0))
+        assert len(vecset) == 6
+        graph = orthogonality_graph(vecset)
+        assert len(graph.edges) == 6  # two disjoint triangles
+        degree = [0] * 6
+        for i, j in graph.edges:
+            degree[i] += 1
+            degree[j] += 1
+        assert degree == [2] * 6
 
 
 def test_find_mu_vectors_deterministic_and_chunk_independent():
     cfg = SearchConfig(restarts=300, master_seed=9)
-    pair = pair_zx_d3()
-    a = find_mu_vectors(pair, cfg)
-    b = find_mu_vectors(pair, cfg)
-    c = find_mu_vectors(pair, cfg, _chunk=17)
-    for other in (b, c):
-        assert len(a) == len(other)
-        assert a.hits == other.hits
-        assert a.residuals == other.residuals
-        for u, v in zip(a.vectors, other.vectors):
-            assert np.array_equal(u, v)
+    for pair in pairs_d3():
+        a = find_mu_vectors(pair, cfg)
+        b = find_mu_vectors(pair, cfg)
+        c = find_mu_vectors(pair, cfg, _chunk=17)
+        for other in (b, c):
+            assert len(a) == len(other)
+            assert a.hits == other.hits
+            assert a.residuals == other.residuals
+            for u, v in zip(a.vectors, other.vectors):
+                assert np.array_equal(u, v)
 
 
 def test_cluster_count_monotone_in_restarts():
