@@ -98,16 +98,6 @@ def mu_residual(v, pair: MUPair) -> float:
     return float(f[0])
 
 
-def _mu_residual_reversed(vec: np.ndarray, basis: np.ndarray, target: float) -> float:
-    """Independent accumulation of the residual: per-term math.fsum over the
-    basis vectors in reverse order."""
-    terms = []
-    for b in range(basis.shape[1] - 1, -1, -1):
-        ip = complex(np.vdot(basis[:, b], vec))
-        terms.append((abs(ip) ** 2 - target) ** 2)
-    return math.fsum(terms)
-
-
 def _overlaps(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Row-batched products v @ m, accumulated in a fixed order over the d
     components so results do not depend on the batch size. With m the
@@ -122,6 +112,16 @@ def _residual(overlaps: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarr
     """Per-row sum of (|<b|v>|^2 - target)^2, with the deviations inside it."""
     devs = np.abs(overlaps) ** 2 - target
     return np.sum(devs * devs, axis=1), devs
+
+
+def _recheck(v: np.ndarray, basis_conj: np.ndarray, target: float) -> np.ndarray:
+    """Per-row residuals accumulated independently of _overlaps and _residual:
+    components and basis vectors both in reverse order, |<b|v>|^2 as
+    re^2 + im^2, and elementwise numpy only (no BLAS, whose blocking can vary
+    with the batch size)."""
+    ip = sum(v[:, i, None] * basis_conj[i, ::-1] for i in reversed(range(v.shape[1])))
+    devs = ip.real * ip.real + ip.imag * ip.imag - target
+    return sum(devs.T * devs.T)
 
 
 def _start_phases(master_seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
@@ -187,17 +187,47 @@ def _solve_phases(
     return evaluate(phases)[0]
 
 
-def _gauge_fix(vec: np.ndarray) -> np.ndarray:
-    """Make the first component of largest modulus real positive.
+def _gauge_fix(v: np.ndarray) -> np.ndarray:
+    """Make the first component of largest modulus of each row real positive.
 
     Moduli are rounded before the argmax so that near-ties (exact for MU
     vectors against the standard basis) resolve to the same index for every
-    member of a cluster.
+    member of a cluster. The pivot's modulus is np.hypot, as the scalar abs()
+    gives it; numpy's vectorised complex abs can differ in the last bit.
     """
-    moduli = np.round(np.abs(vec), 6)
-    idx = int(np.argmax(moduli))
-    phase = vec[idx] / abs(vec[idx])
-    return vec * phase.conjugate()
+    pivot = v[np.arange(len(v)), np.argmax(np.round(np.abs(v), 6), axis=1)]
+    return v * (pivot / np.hypot(pivot.real, pivot.imag)).conj()[:, None]
+
+
+def _distances(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(rows - vec[None, :]) ** 2, axis=1))
+
+
+def _cluster(vecs: np.ndarray, res: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+    """Greedy clustering of the rows in order: row k joins the nearest center
+    created before it (the first on ties) if within tol, else becomes one.
+
+    Built a cluster at a time; a claimed row can move only to a later center
+    within 2 tol of its current one (triangle inequality), so only those rows
+    are measured again. Returns the center rows, the representative rows (best
+    residual, the first on ties) and the hits of each cluster.
+    """
+    owner = np.full(len(vecs), -1)
+    best = np.full(len(vecs), np.inf)
+    centers: list[int] = []
+    for c in range(len(vecs)):
+        if owner[c] < 0:
+            # Unclaimed rows (owner -1) and rows of centers near c are candidates.
+            near = np.append(_distances(vecs[centers], vecs[c]) < 3.0 * tol, True)
+            cand = c + 1 + np.flatnonzero(near[owner[c + 1 :]])
+            dists = _distances(vecs[cand], vecs[c])
+            take = (dists < tol) & (dists < best[cand])
+            owner[cand[take]] = owner[c] = len(centers)
+            best[cand[take]] = dists[take]
+            centers.append(c)
+    by_cluster = np.lexsort((res, owner))
+    reps = by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
+    return np.array(centers, dtype=int), reps, np.bincount(owner)
 
 
 def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVectorSet:
@@ -214,69 +244,36 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVe
     d = pair.dim
     a = pair.first.matrix
     h_conj = a.T @ pair.second.matrix.conj()
-    basis = pair.basis_vectors()
-    basis_conj = basis.conj()
+    basis_conj = pair.basis_vectors().conj()
     target = 1.0 / d
 
-    solutions: list[np.ndarray] = []
-    residuals: list[float] = []
+    found = []
     for lo in range(0, cfg.restarts, _chunk):
         hi = min(lo + _chunk, cfg.restarts)
         phases = _start_phases(cfg.master_seed, lo, hi, d)
         v = _overlaps(_solve_phases(phases, h_conj, cfg.max_iters, cfg.residual_tol), a.T)
         f, _ = _residual(_overlaps(v, basis_conj), target)
-        for idx in np.nonzero(f <= cfg.residual_tol)[0]:
-            vec = v[idx]
-            recheck = _mu_residual_reversed(vec, basis, target)
-            if recheck <= 10.0 * cfg.residual_tol:
-                solutions.append(_gauge_fix(vec))
-                residuals.append(float(f[idx]))
-
-    if not solutions:
-        return MUVectorSet(pair, (), (), (), False)
-
+        keep = f <= cfg.residual_tol
+        keep[keep] = _recheck(v[keep], basis_conj, target) <= 10.0 * cfg.residual_tol
+        found.append((v[keep], f[keep]))
+    vecs, res = (np.concatenate(parts) for parts in zip(*found))
+    vecs = _gauge_fix(vecs)
     # Canonical merge order: sort by rounded components so clustering is
     # independent of restart and batch order.
-    def sort_key(item: tuple[np.ndarray, float]) -> tuple:
-        vec = item[0]
-        return tuple(np.round(np.concatenate([vec.real, vec.imag]), 9))
+    order = np.lexsort(np.round(np.concatenate([vecs.real, vecs.imag], axis=1), 9).T[::-1])
+    vecs, res = vecs[order], res[order]
+    centers, reps, hits = _cluster(vecs, res, cfg.cluster_tol)
 
-    ordered = sorted(zip(solutions, residuals), key=sort_key)
+    # A continuum of solutions shows up as centers packed close to the
+    # clustering scale; flag it rather than trying to parameterize it.
+    center_vecs = vecs[centers]
+    dists_sq = np.maximum(2.0 - 2.0 * np.abs(center_vecs @ center_vecs.conj().T), 0.0)
+    np.fill_diagonal(dists_sq, np.inf)
+    manifold = bool(np.sqrt(dists_sq.min(initial=np.inf)) < 100.0 * cfg.cluster_tol)
 
-    reps: list[np.ndarray] = []
-    best_res: list[float] = []
-    hits: list[int] = []
-    rep_matrix = np.zeros((0, d), dtype=np.complex128)
-    for vec, res in ordered:
-        if reps:
-            dists = np.sqrt(np.sum(np.abs(rep_matrix - vec[None, :]) ** 2, axis=1))
-            j = int(np.argmin(dists))
-            if float(dists[j]) < cfg.cluster_tol:
-                hits[j] += 1
-                if res < best_res[j]:
-                    best_res[j] = res
-                    reps[j] = vec
-                continue
-        reps.append(vec)
-        best_res.append(res)
-        hits.append(1)
-        rep_matrix = np.vstack([rep_matrix, vec[None, :]])
-
-    # A continuum of solutions shows up as representatives packed close to
-    # the clustering scale; flag it rather than trying to parameterize it.
-    manifold = False
-    if len(reps) > 1:
-        gram = np.abs(rep_matrix @ rep_matrix.conj().T)
-        dists_sq = np.maximum(2.0 - 2.0 * gram, 0.0)
-        np.fill_diagonal(dists_sq, np.inf)
-        manifold = bool(np.sqrt(dists_sq.min()) < 100.0 * cfg.cluster_tol)
-
-    frozen = []
-    for vec in reps:
-        out = vec.copy()
-        out.setflags(write=False)
-        frozen.append(out)
-    return MUVectorSet(pair, tuple(frozen), tuple(best_res), tuple(hits), manifold)
+    out = vecs[reps]
+    out.setflags(write=False)
+    return MUVectorSet(pair, tuple(out), tuple(res[reps].tolist()), tuple(hits.tolist()), manifold)
 
 
 def orthogonality_graph(vectors, tol: Tolerance = DEFAULT_TOL) -> OrthoGraph:

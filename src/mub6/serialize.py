@@ -14,7 +14,7 @@ import numpy as np
 from .bases import Basis, MUPair
 from .equivalence import TransformScript
 from .errors import FormatError
-from .families import FamilyParams
+from .families import FAMILY_IDS, FamilyParams
 from .linalg import format_matrix, parse_matrix
 from .search import ExtensionResult, MUVectorSet, OrthoGraph
 
@@ -42,8 +42,15 @@ def pair_from_dict(data: dict) -> MUPair:
     except KeyError as exc:
         raise FormatError(f"pair JSON is missing key {exc}") from exc
     family = data.get("family")
-    raw_params = data.get("params")
-    params = FamilyParams(**raw_params) if raw_params else None
+    if family is not None and family not in FAMILY_IDS:
+        raise FormatError(f"pair JSON has family {family!r}, expected one of {FAMILY_IDS} or null")
+    raw = data.get("params")
+    if raw is not None and not isinstance(raw, dict):
+        raise FormatError("pair JSON 'params' must be an object or null")
+    try:
+        params = FamilyParams(**{k: float(v) for k, v in raw.items()}) if raw else None
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"pair JSON 'params' must map names to numbers ({exc})") from exc
     return MUPair(Basis(first), Basis(second), family=family, params=params)
 
 
@@ -51,16 +58,8 @@ def script_to_dict(script: TransformScript) -> dict:
     return script.to_json_dict()
 
 
-def script_from_dict(data: dict) -> TransformScript:
-    return TransformScript.from_json_dict(data)
-
-
 def _vector_to_json(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
-
-
-def _vector_from_json(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
 
 
 def vector_set_to_dict(vecset: MUVectorSet) -> dict:
@@ -96,10 +95,10 @@ def extension_result_to_dict(result: ExtensionResult) -> dict:
 def vectors_from_dict(data: dict) -> tuple[np.ndarray, ...]:
     """Extract the cluster vectors from a serialized search result."""
     try:
-        clusters = data["clusters"]
-    except KeyError as exc:
-        raise FormatError("vector-set JSON is missing the 'clusters' key") from exc
-    return tuple(_vector_from_json(c["vector"]) for c in clusters)
+        rows = [[complex(re, im) for re, im in c["vector"]] for c in data["clusters"]]
+        return tuple(np.array(rows, dtype=np.complex128))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"vector-set clusters need equal-length [re, im] lists ({exc!r})") from exc
 
 
 def dump_json(data: dict) -> str:

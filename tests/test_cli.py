@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from mub6 import hw_eigenbasis, make_Ftilde, parse_matrix, format_matrix
 from mub6.cli import run
@@ -198,3 +199,64 @@ def test_pair_json_round_trip_matches_memory(tmp_path, capsys):
     mem = is_mu_pair(pair.first, pair.second)
     disk = is_mu_pair(round_tripped.first, round_tripped.second)
     assert mem.worst_deviation == disk.worst_deviation
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        {"params": {"bogus": 1.0}},
+        {"params": {"xi": "not a number"}},
+        {"params": "xi"},
+        {"params": [0.5]},
+        {"family": "P9"},
+    ],
+    ids=["unknown-param", "non-numeric-param", "params-string", "params-list", "family-P9"],
+)
+def test_verify_rejects_malformed_pair_metadata(tmp_path, capsys, patch):
+    pair_file = tmp_path / "pair.json"
+    run_cli(capsys, "construct", "--family", "P0", "--out", str(pair_file))
+    data = json.loads(pair_file.read_text())
+    data.update(patch)
+    pair_file.write_text(dump_json(data))
+    code, out, err = run_cli(capsys, "verify", "--pair", str(pair_file))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "FormatError"
+    assert payload["message"]
+
+
+def _drop_vector(clusters):
+    del clusters[0]["vector"]
+
+
+def _ragged(clusters):
+    clusters[1]["vector"].pop()
+
+
+def _not_a_pair(clusters):
+    clusters[0]["vector"][0] = [1.0]
+
+
+def _not_numbers(clusters):
+    clusters[0]["vector"][0] = ["a", "b"]
+
+
+@pytest.mark.parametrize("mutate", [_drop_vector, _ragged, _not_a_pair, _not_numbers])
+def test_ortho_graph_rejects_malformed_clusters(tmp_path, capsys, mutate):
+    pair = MUPair(hw_eigenbasis(2, "z"), hw_eigenbasis(2, "x"))
+    pair_file = tmp_path / "pair2.json"
+    pair_file.write_text(dump_json(pair_to_dict(pair)))
+    vectors_file = tmp_path / "vectors.json"
+    run_cli(
+        capsys, "search-extend", "--pair", str(pair_file), "--restarts", "64",
+        "--out", str(vectors_file),
+    )
+    data = json.loads(vectors_file.read_text())
+    assert len(data["clusters"]) == 2
+    mutate(data["clusters"])
+    vectors_file.write_text(dump_json(data))
+    code, out, err = run_cli(capsys, "ortho-graph", "--vectors", str(vectors_file))
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "FormatError"
+    assert payload["message"]

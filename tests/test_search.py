@@ -16,6 +16,7 @@ from mub6 import (
     orthogonality_graph,
     same_basis_up_to_phase,
 )
+from mub6.search import _cluster, _gauge_fix, _recheck
 
 
 def pair_zx_d2():
@@ -91,11 +92,14 @@ def test_find_mu_vectors_d3():
 
 
 def test_find_mu_vectors_deterministic_and_chunk_independent():
-    cfg = SearchConfig(restarts=300, master_seed=9)
-    for pair in pairs_d3():
+    # The d = 6 run merges the rows of six chunks in the batched recheck, sort
+    # and clustering.
+    runs = [(pair, SearchConfig(restarts=300, master_seed=9), 17) for pair in pairs_d3()]
+    runs.append((make_family_pair("P0"), SearchConfig(restarts=200, master_seed=9), 37))
+    for pair, cfg, chunk in runs:
         a = find_mu_vectors(pair, cfg)
         b = find_mu_vectors(pair, cfg)
-        c = find_mu_vectors(pair, cfg, _chunk=17)
+        c = find_mu_vectors(pair, cfg, _chunk=chunk)
         for other in (b, c):
             assert len(a) == len(other)
             assert a.hits == other.hits
@@ -118,6 +122,91 @@ def test_soundness_recheck():
     pair = pair_zx_d3()
     for vec in vecset.vectors:
         assert mu_residual(vec, pair) <= 10 * 1e-20
+
+
+def _greedy_reference(vecs, res, tol):
+    """The per-vector greedy loop that _cluster batches: each row joins the
+    nearest existing center within tol (first on ties) or becomes a center;
+    the representative moves to a strictly better residual."""
+    centers, reps, hits = [], [], []
+    for k, vec in enumerate(vecs):
+        if centers:
+            dists = np.sqrt(np.sum(np.abs(vecs[centers] - vec[None, :]) ** 2, axis=1))
+            j = int(np.argmin(dists))
+            if dists[j] < tol:
+                hits[j] += 1
+                if res[k] < res[reps[j]]:
+                    reps[j] = k
+                continue
+        centers.append(k)
+        reps.append(k)
+        hits.append(1)
+    return centers, reps, hits
+
+
+def test_cluster_joins_nearest_earlier_center():
+    # Centers 0 and 1 are 1.5 apart with tol 1: row 2 (0.9 from center 0,
+    # 0.6 from center 1) joins center 1, row 3 stays with center 0, and row 4,
+    # 0.75 from both, goes to the first. Row 5 sits before center 6 in order,
+    # so it keeps center 0 although center 6 is nearer.
+    vecs = np.array([[0, 0], [1.5, 0], [0.9, 0], [0.7, 0], [0.75, 0], [0, 0.9], [0, 1.5]], complex)
+    centers, reps, hits = _cluster(vecs, np.zeros(len(vecs)), 1.0)
+    assert centers.tolist() == [0, 1, 6]
+    assert hits.tolist() == [4, 2, 1]
+    assert reps.tolist() == [0, 1, 6]
+
+
+def test_cluster_representative_and_center():
+    # Equal best residuals keep the first member in order.
+    vecs = np.array([[0, 0], [0.1, 0], [0.2, 0]], complex)
+    _, reps, hits = _cluster(vecs, np.array([3e-21, 1e-21, 1e-21]), 1.0)
+    assert reps.tolist() == [1] and hits.tolist() == [3]
+    # The representative moves to row 1, the better residual, but distances
+    # are still taken from row 0: row 2 is 1.2 from it and starts a cluster
+    # although it lies within 0.6 of row 1.
+    vecs = np.array([[0, 0], [0.6, 0], [1.2, 0]], complex)
+    centers, reps, hits = _cluster(vecs, np.array([5e-21, 1e-21, 2e-21]), 1.0)
+    assert centers.tolist() == [0, 2]
+    assert reps.tolist() == [1, 2]
+    assert hits.tolist() == [2, 1]
+
+
+def test_cluster_matches_greedy_loop():
+    # Dense random points make many rows lie within tol of several centers.
+    rng = np.random.default_rng(5)
+    for n, tol in ((300, 0.3), (300, 0.6), (50, 1e-6)):
+        vecs = rng.random((n, 3)) + 1j * rng.random((n, 3))
+        res = rng.integers(0, 4, n) * 1e-21
+        centers, reps, hits = _cluster(vecs, res, tol)
+        assert (centers.tolist(), reps.tolist(), hits.tolist()) == _greedy_reference(vecs, res, tol)
+
+
+def test_gauge_fix_matches_per_row_formula():
+    rng = np.random.default_rng(6)
+    vecs = rng.normal(size=(500, 6)) + 1j * rng.normal(size=(500, 6))
+    vecs[:100] /= np.abs(vecs[:100])  # equal moduli: the rounded argmax tie-break
+    for vec, fixed in zip(vecs, _gauge_fix(vecs)):
+        idx = int(np.argmax(np.round(np.abs(vec), 6)))
+        assert np.array_equal(fixed, vec * (vec[idx] / abs(vec[idx])).conjugate())
+
+
+def test_recheck_agrees_with_mu_residual():
+    pair = make_family_pair("P0")
+    basis_conj = pair.basis_vectors().conj()
+    rng = np.random.default_rng(7)
+    vecs = rng.normal(size=(200, 6)) + 1j * rng.normal(size=(200, 6))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    rechecked = _recheck(vecs, basis_conj, 1 / 6)
+    for vec, value in zip(vecs, rechecked):
+        assert abs(value - mu_residual(vec, pair)) <= 1e-12 * mu_residual(vec, pair)
+
+    cfg = SearchConfig(restarts=50, master_seed=0)
+    found = np.stack(find_mu_vectors(pair, cfg).vectors)
+    assert np.all(_recheck(found, basis_conj, 1 / 6) <= 10 * cfg.residual_tol)
+    nudged = found.copy()
+    nudged[:, 1] += 1e-8
+    nudged /= np.linalg.norm(nudged, axis=1)[:, None]
+    assert np.all(_recheck(nudged, basis_conj, 1 / 6) > 10 * cfg.residual_tol)
 
 
 def test_gauge_fixing():
