@@ -94,24 +94,38 @@ def mu_residual(v, pair: MUPair) -> float:
     vec = as_vector(v)
     if vec.shape[0] != pair.dim:
         raise DimensionError(f"vector has dimension {vec.shape[0]}, pair has {pair.dim}")
-    f, _ = _residual(_overlaps(vec[None, :], pair.basis_vectors().conj()), 1.0 / pair.dim)
+    f, _ = _residual(_overlaps(vec[:, None], pair.basis_vectors().conj()), 1.0 / pair.dim)
     return float(f[0])
 
 
 def _overlaps(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Row-batched products v @ m, accumulated in a fixed order over the d
-    components so results do not depend on the batch size. With m the
-    conjugated basis vectors these are the overlaps <b|v>."""
-    out = v[:, 0, None] * m[0]
+    """Products m^T v for vectors laid out component-major (v is (d, n), one
+    column per vector), accumulated in a fixed order over the d components so
+    results do not depend on the batch size. With m the conjugated basis
+    vectors these are the overlaps <b|v>, one row per basis vector."""
+    out = m[0, :, None] * v[0]
     for i in range(1, m.shape[0]):
-        out = out + v[:, i, None] * m[i]
+        out += m[i, :, None] * v[i]
+    return out
+
+
+def _sum_rows(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... added elementwise in that order, so each
+    column gets the same arithmetic whatever the layout and the batch size;
+    np.sum and np.einsum choose their summation order from shapes and strides,
+    and a one-column batch can get another one."""
+    out = terms[0].copy()
+    for term in terms[1:]:
+        out += term
     return out
 
 
 def _residual(overlaps: np.ndarray, target: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sum of (|<b|v>|^2 - target)^2, with the deviations inside it."""
-    devs = np.abs(overlaps) ** 2 - target
-    return np.sum(devs * devs, axis=1), devs
+    """Per-column sum of (|<b|v>|^2 - target)^2 over component-major overlaps,
+    with the deviations inside it."""
+    devs = np.square(np.abs(overlaps))
+    devs -= target
+    return _sum_rows(devs * devs), devs
 
 
 def _recheck(v: np.ndarray, basis_conj: np.ndarray, target: float) -> np.ndarray:
@@ -125,7 +139,8 @@ def _recheck(v: np.ndarray, basis_conj: np.ndarray, target: float) -> np.ndarray
 
 
 def _start_phases(master_seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
-    """Start phases of restarts lo..hi-1, the first phase pinned to 0.
+    """Free start phases phi_1..phi_{d-1} of restarts lo..hi-1 as a
+    (dim - 1, hi - lo) array, one column per restart (phi_0 is pinned to 0).
 
     Each restart reads ceil((d - 1) / 4) counter blocks of four doubles,
     restart k the k-th such run, of one Philox stream keyed by master_seed,
@@ -135,56 +150,112 @@ def _start_phases(master_seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
     bitgen = np.random.Philox(key=master_seed)
     bitgen.advance(lo * blocks)
     draws = np.random.Generator(bitgen).random((hi - lo, 4 * blocks))
-    phases = np.zeros((hi - lo, dim))
-    phases[:, 1:] = 2.0 * np.pi * draws[:, : dim - 1]
-    return phases
+    return 2.0 * np.pi * draws[:, : dim - 1].T
+
+
+def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a batch of symmetric positive definite systems a x = b laid out
+    component-major: a is (n, n, m), of which only the lower triangle is read,
+    and b and the returned x are (n, m).
+
+    An unrolled, unpivoted Cholesky factorisation a = L L^T, then forward and
+    back substitution, all elementwise over the m systems (no BLAS or LAPACK),
+    so each system gets the same arithmetic whatever the batch. A system with
+    a pivot that is not positive and finite gets an all-NaN x and raises no
+    warning.
+    """
+    n = len(b)
+    low = np.empty_like(a)
+    x = b.copy()
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(n):
+            col = a[j:, j]
+            for k in range(j):
+                col = col - low[j:, k] * low[j, k]
+            np.sqrt(col[0], out=low[j, j])
+            np.divide(col[1:], low[j, j], out=low[j + 1 :, j])
+        for k in range(n):
+            x[k] /= low[k, k]
+            x[k + 1 :] -= low[k + 1 :, k] * x[k]
+        for k in reversed(range(n)):
+            x[k] /= low[k, k]
+            x[:k] -= low[k, :k] * x[k]
+        pivots = np.diagonal(low, axis1=0, axis2=1)
+        x[:, ~((pivots > 0.0) & (pivots < np.inf)).all(axis=1)] = np.nan
+    return x
+
+
+def _damped_step(
+    h_conj: np.ndarray, u: np.ndarray, w: np.ndarray, r: np.ndarray, damping: np.ndarray
+) -> np.ndarray:
+    """The Levenberg-Marquardt step (J^T J + damping I)^{-1} J^T r of each
+    restart (column) for its free phases, with u, w and r as in _solve_phases.
+    Sums over j run in order, like _sum_rows."""
+    d = len(w)
+    # d r_j / d phi_k = 2 Im(H_kj conj(u_k) w_j) for k = 1..d-1, indexed [j, k - 1].
+    jac = 2.0 * h_conj.T.conj()[:, 1:, None] * u[1:].conj()
+    jac *= w[:, None]
+    jac = np.ascontiguousarray(jac.imag)  # a real copy frees the complex products
+    # The damped lower triangle of J^T J, a row at a time.
+    jtj = np.empty((d - 1, d - 1, len(damping)))
+    for k in range(d - 1):
+        row = jtj[k, : k + 1]
+        np.multiply(jac[0, : k + 1], jac[0, k], out=row)
+        for j in range(1, d):
+            row += jac[j, : k + 1] * jac[j, k]
+        row[k] += damping
+    return _spd_solve(jtj, _sum_rows(jac * r[:, None]))
 
 
 def _solve_phases(
     phases: np.ndarray, h_conj: np.ndarray, max_iters: int, tol: float
 ) -> np.ndarray:
-    """Batched Levenberg-Marquardt on the d - 1 free phases of
-    u = e^{i phases} / sqrt(d), driving |(H^dagger u)_j|^2 to 1/d.
+    """Batched Levenberg-Marquardt on the free phases phi_1..phi_{d-1} of
+    u = e^{i phi} / sqrt(d) (phi_0 = 0), driving |(H^dagger u)_j|^2 to 1/d.
 
-    The d residuals sum to zero, so the system is square. Each row stops on
-    its own once its residual is <= tol or its damping passes _DAMPING_CAP,
-    and all per-row updates are independent, so trajectories are identical
-    no matter how the restarts are chunked. Returns the rows u.
+    phases is (d - 1, n) and the returned u is (d, n), one column per restart.
+    The d residuals sum to zero, so the system is square. Each restart keeps
+    the phases, u, the overlaps w, the deviations r and the residual f of its
+    current point, replaced from accepted trials, so an iteration evaluates
+    only its trial. A restart stops on its own once its residual is <= tol or
+    its damping passes _DAMPING_CAP, and every update is elementwise over the
+    restarts, so trajectories are identical no matter how they are chunked.
     """
-    d = phases.shape[1]
+    d = len(phases) + 1
     target = 1.0 / d
 
     def evaluate(phi: np.ndarray) -> tuple[np.ndarray, ...]:
-        u = np.exp(1j * phi) / math.sqrt(d)
+        u = np.empty((d, phi.shape[1]), dtype=complex)
+        u[0] = 1.0 / math.sqrt(d)
+        np.exp(1j * phi, out=u[1:])
+        u[1:] /= math.sqrt(d)
         w = _overlaps(u, h_conj)
         f, r = _residual(w, target)
-        return u, w, r, f
+        return phi, u, w, r, f
 
-    f = evaluate(phases)[3]
-    damping = np.full(len(phases), _DAMPING)
-    active = np.nonzero(f > tol)[0]
+    state = evaluate(phases.copy())
+    rows = np.arange(phases.shape[1])
+    damping = np.full(rows.size, _DAMPING)
+    out = np.empty((d, rows.size), dtype=complex)
     for _ in range(max_iters):
-        if active.size == 0:
+        live = (state[4] > tol) & (damping < _DAMPING_CAP)
+        if not live.all():
+            out[:, rows[~live]] = state[1][:, ~live]
+            rows, damping = rows[live], damping[live]
+            state = tuple(x[..., live] for x in state)
+        if rows.size == 0:
             break
-        u, w, r, _ = evaluate(phases[active])
-        # d r_j / d phi_k = 2 Re(conj(w_j) i conj(H_kj) u_k) for k = 1..d-1.
-        jac = -2.0 * (w.conj()[:, :, None] * h_conj.T[None, :, 1:] * u[:, None, 1:]).imag
-        jtj = damping[active, None, None] * np.eye(d - 1)
-        jtr = np.zeros((active.size, d - 1))
-        for j in range(d):
-            jtj = jtj + jac[:, j, :, None] * jac[:, j, None, :]
-            jtr = jtr + jac[:, j, :] * r[:, j, None]
-        trial = phases[active]
-        trial[:, 1:] -= np.linalg.solve(jtj, jtr[:, :, None])[:, :, 0]
-        trial_f = evaluate(trial)[3]
-        better = trial_f < f[active]
-        took = active[better]
-        phases[took] = trial[better]
-        f[took] = trial_f[better]
-        damping[took] *= 0.1
-        damping[active[~better]] *= 10.0
-        active = active[(f[active] > tol) & (damping[active] < _DAMPING_CAP)]
-    return evaluate(phases)[0]
+        phi, u, w, r, f = state
+        step = _damped_step(h_conj, u, w, r, damping)
+        # A restart whose factorisation failed keeps its phases: a failed step.
+        step[:, ~np.isfinite(step).all(axis=0)] = 0.0
+        trial = evaluate(phi - step)
+        better = trial[4] < f
+        for old, new in zip(state, trial):
+            np.copyto(old, new, where=better)
+        damping *= np.where(better, 0.1, 10.0)
+    out[:, rows] = state[1]
+    return out
 
 
 def _gauge_fix(v: np.ndarray) -> np.ndarray:
@@ -209,22 +280,33 @@ def _cluster(vecs: np.ndarray, res: np.ndarray, tol: float) -> tuple[np.ndarray,
 
     Built a cluster at a time; a claimed row can move only to a later center
     within 2 tol of its current one (triangle inequality), so only those rows
-    are measured again. Returns the center rows, the representative rows (best
-    residual, the first on ties) and the hits of each cluster.
+    are measured again. Rows are first screened by a unit-norm projection of
+    their real and imaginary parts: a row 2 tol or more from the center in it
+    is farther than tol (Cauchy-Schwarz; the reach adds room for rounding), so
+    only the rest are measured at all. Returns the center rows, the
+    representative rows (best residual, the first on ties) and the hits of
+    each cluster.
     """
     owner = np.full(len(vecs), -1)
     best = np.full(len(vecs), np.inf)
+    flat = np.concatenate([vecs.real, vecs.imag], axis=1)
+    weights = np.arange(1.0, flat.shape[1] + 1)
+    key = flat @ (weights / np.linalg.norm(weights))
+    reach = 2.0 * tol + 1e-12 * np.abs(flat).max(initial=0.0)
     centers: list[int] = []
-    for c in range(len(vecs)):
-        if owner[c] < 0:
-            # Unclaimed rows (owner -1) and rows of centers near c are candidates.
-            near = np.append(_distances(vecs[centers], vecs[c]) < 3.0 * tol, True)
-            cand = c + 1 + np.flatnonzero(near[owner[c + 1 :]])
-            dists = _distances(vecs[cand], vecs[c])
-            take = (dists < tol) & (dists < best[cand])
-            owner[cand[take]] = owner[c] = len(centers)
-            best[cand[take]] = dists[take]
-            centers.append(c)
+    c = 0
+    while c < len(vecs):
+        later = c + 1 + np.flatnonzero(np.abs(key[c + 1 :] - key[c]) < reach)
+        # Unclaimed rows (owner -1) and rows of centers near c are candidates.
+        near = np.append(_distances(vecs[centers], vecs[c]) < 3.0 * tol, True)
+        cand = later[near[owner[later]]]
+        dists = _distances(vecs[cand], vecs[c])
+        take = (dists < tol) & (dists < best[cand])
+        owner[cand[take]] = owner[c] = len(centers)
+        best[cand[take]] = dists[take]
+        centers.append(c)
+        # The next center is the first unclaimed row after c (none: stop).
+        c += 1 + np.argmax(np.append(owner[c + 1 :] < 0, True))
     by_cluster = np.lexsort((res, owner))
     reps = by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
     return np.array(centers, dtype=int), reps, np.bincount(owner)
@@ -253,6 +335,7 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVe
         phases = _start_phases(cfg.master_seed, lo, hi, d)
         v = _overlaps(_solve_phases(phases, h_conj, cfg.max_iters, cfg.residual_tol), a.T)
         f, _ = _residual(_overlaps(v, basis_conj), target)
+        v = v.T
         keep = f <= cfg.residual_tol
         keep[keep] = _recheck(v[keep], basis_conj, target) <= 10.0 * cfg.residual_tol
         found.append((v[keep], f[keep]))

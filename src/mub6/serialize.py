@@ -37,10 +37,12 @@ def pair_to_dict(pair: MUPair) -> dict:
 
 def pair_from_dict(data: dict) -> MUPair:
     try:
-        first = parse_matrix(data["first"])
-        second = parse_matrix(data["second"])
+        texts = data["first"], data["second"]
     except KeyError as exc:
         raise FormatError(f"pair JSON is missing key {exc}") from exc
+    if not all(isinstance(text, str) for text in texts):
+        raise FormatError("pair JSON 'first' and 'second' must be matrix text strings")
+    first, second = (parse_matrix(text) for text in texts)
     family = data.get("family")
     if family is not None and family not in FAMILY_IDS:
         raise FormatError(f"pair JSON has family {family!r}, expected one of {FAMILY_IDS} or null")
@@ -48,7 +50,7 @@ def pair_from_dict(data: dict) -> MUPair:
     if raw is not None and not isinstance(raw, dict):
         raise FormatError("pair JSON 'params' must be an object or null")
     try:
-        params = FamilyParams(**{k: float(v) for k, v in raw.items()}) if raw else None
+        params = None if raw is None else FamilyParams(**{k: float(v) for k, v in raw.items()})
     except (TypeError, ValueError) as exc:
         raise FormatError(f"pair JSON 'params' must map names to numbers ({exc})") from exc
     return MUPair(Basis(first), Basis(second), family=family, params=params)

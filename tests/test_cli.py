@@ -187,6 +187,21 @@ def test_search_extend_deterministic(tmp_path, capsys):
     assert out1 == out2
 
 
+def test_search_extend_keeps_empty_params(tmp_path, capsys):
+    # reduce --family P0 writes "params": {}; the pair embedded in the search
+    # output must say the same, not null.
+    pair_file = tmp_path / "p0.json"
+    out_file = tmp_path / "vectors.json"
+    assert run_cli(capsys, "reduce", "--family", "P0", "--out", str(pair_file))[0] == 0
+    assert json.loads(pair_file.read_text())["params"] == {}
+    code, _, _ = run_cli(
+        capsys, "search-extend", "--pair", str(pair_file), "--restarts", "20",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    assert json.loads(out_file.read_text())["pair"]["params"] == {}
+
+
 def test_pair_json_round_trip_matches_memory(tmp_path, capsys):
     # construct -> serialize -> parse -> verify equals the in-memory check.
     from mub6 import make_family_pair, FamilyParams, is_mu_pair
@@ -209,8 +224,14 @@ def test_pair_json_round_trip_matches_memory(tmp_path, capsys):
         {"params": "xi"},
         {"params": [0.5]},
         {"family": "P9"},
+        {"first": 5},
+        {"second": None},
+        {"first": ["6 6"]},
     ],
-    ids=["unknown-param", "non-numeric-param", "params-string", "params-list", "family-P9"],
+    ids=[
+        "unknown-param", "non-numeric-param", "params-string", "params-list", "family-P9",
+        "first-number", "second-null", "first-list",
+    ],
 )
 def test_verify_rejects_malformed_pair_metadata(tmp_path, capsys, patch):
     pair_file = tmp_path / "pair.json"

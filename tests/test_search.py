@@ -1,8 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 from mub6 import (
     DEFAULT_TOL,
+    Basis,
     DimensionError,
     MUPair,
     SearchConfig,
@@ -16,7 +20,16 @@ from mub6 import (
     orthogonality_graph,
     same_basis_up_to_phase,
 )
-from mub6.search import _cluster, _gauge_fix, _recheck
+from mub6 import search
+from mub6.search import (
+    _cluster,
+    _gauge_fix,
+    _recheck,
+    _residual,
+    _solve_phases,
+    _spd_solve,
+    _start_phases,
+)
 
 
 def pair_zx_d2():
@@ -174,11 +187,125 @@ def test_cluster_representative_and_center():
 def test_cluster_matches_greedy_loop():
     # Dense random points make many rows lie within tol of several centers.
     rng = np.random.default_rng(5)
-    for n, tol in ((300, 0.3), (300, 0.6), (50, 1e-6)):
-        vecs = rng.random((n, 3)) + 1j * rng.random((n, 3))
-        res = rng.integers(0, 4, n) * 1e-21
+    cases = [
+        (rng.random((n, 3)) + 1j * rng.random((n, 3)), tol)
+        for n, tol in ((300, 0.3), (300, 0.6), (50, 1e-6))
+    ]
+    # Rows that agree where _cluster screens candidates and differ elsewhere,
+    # so only the full distance tells them apart: a shared real first
+    # component (the gauge pivot of vectors MU to I), and real and imaginary
+    # parts whose unit-norm projection with weights 1..6 stays within 1.5 tol.
+    pivot = rng.random((300, 3)) + 1j * rng.random((300, 3))
+    pivot[:, 0] = 0.5
+    weights = np.arange(1.0, 7.0) / np.linalg.norm(np.arange(1.0, 7.0))
+    flat = rng.random((300, 6))
+    flat += np.outer(0.9 * rng.random(300) - flat @ weights, weights)
+    cases += [(pivot, 0.3), (flat[:, :3] + 1j * flat[:, 3:], 0.6)]
+    for vecs, tol in cases:
+        res = rng.integers(0, 4, len(vecs)) * 1e-21
         centers, reps, hits = _cluster(vecs, res, tol)
         assert (centers.tolist(), reps.tolist(), hits.tolist()) == _greedy_reference(vecs, res, tol)
+
+
+def _random_spd(rng, n, m):
+    """m well-conditioned SPD matrices of order n, stacked as (m, n, n)."""
+    g = rng.normal(size=(m, n, n))
+    return g @ g.transpose(0, 2, 1) + n * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])  # the orders the search solves for d = 2, 3, 6
+def test_spd_solve_matches_numpy(n):
+    rng = np.random.default_rng(n)
+    a = _random_spd(rng, n, 300)
+    b = rng.normal(size=(300, n))
+    lower_only = a.transpose(1, 2, 0).copy()
+    lower_only[np.triu_indices(n, 1)] = np.nan  # the upper triangle is never read
+    x = _spd_solve(lower_only, b.T.copy())
+    np.testing.assert_allclose(x.T, np.linalg.solve(a, b[:, :, None])[:, :, 0], rtol=1e-10)
+
+
+def test_spd_solve_flags_only_rows_that_are_not_positive_definite():
+    rng = np.random.default_rng(3)
+    a = _random_spd(rng, 3, 6)
+    a[1] = np.diag([1.0, -1.0, 1.0])  # indefinite
+    a[3] = 0.0  # zero pivot
+    a[4, 0, 0] = np.inf  # infinite pivot
+    b = rng.normal(size=(6, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = _spd_solve(a.transpose(1, 2, 0).copy(), b.T.copy())
+    bad = [1, 3, 4]
+    assert np.isnan(x[:, bad]).all()
+    good = [0, 2, 5]
+    np.testing.assert_allclose(
+        x[:, good].T, np.linalg.solve(a[good], b[good, :, None])[:, :, 0], rtol=1e-10
+    )
+
+
+def _h_conj(pair):
+    return pair.first.matrix.T @ pair.second.matrix.conj()
+
+
+def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
+    h_conj = _h_conj(pair_zx_d3())
+    phases = _start_phases(0, 0, 8, 3)
+    plain = _solve_phases(phases, h_conj, 200, 1e-20)
+    calls = []
+
+    def first_system_fails(a, b):
+        # An infinite step, which e^{i phi} would turn into NaN with a warning.
+        calls.append(b.shape[1])
+        x = _spd_solve(a, b)
+        x[:, 0] = np.inf
+        return x
+
+    monkeypatch.setattr(search, "_spd_solve", first_system_fails)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _solve_phases(phases, h_conj, 200, 1e-20)
+    # Restart 0 never moves from its start; the others are untouched by it.
+    assert u[0, 0] == 1 / math.sqrt(3)
+    assert np.array_equal(u[1:, 0], np.exp(1j * phases[:, 0]) / math.sqrt(3))
+    assert np.array_equal(u[:, 1:], plain[:, 1:])
+
+    # Alone, it fails once per iteration, its damping growing tenfold each
+    # time, until the damping passes the cap.
+    calls.clear()
+    _solve_phases(phases[:, :1], h_conj, 200, 1e-20)
+    fails, damping = 0, search._DAMPING
+    while damping < search._DAMPING_CAP:
+        damping *= 10.0
+        fails += 1
+    assert calls == [1] * fails
+
+
+def test_one_restart_batches_match_full_batches():
+    # Every restart solved alone gives the same bits as in one batch, whatever
+    # summation kernels numpy picks for the two shapes. Sums of eight or more
+    # terms (d = 8 deviations, 2d = 12 overlaps) are where np.sum switches to
+    # pairwise summation for a one-column batch.
+    runs = [(pair, 60, 2000) for pair in pairs_d3()]
+    fourier8 = np.exp(2j * np.pi * np.outer(range(8), range(8)) / 8) / np.sqrt(8)
+    runs += [
+        (make_family_pair("P0"), 30, 2000),
+        (MUPair(Basis(np.eye(8, dtype=complex)), Basis(fourier8)), 12, 40),
+    ]
+    for pair, n, max_iters in runs:
+        h_conj = _h_conj(pair)
+        phases = _start_phases(4, 0, n, pair.dim)
+        batch = _solve_phases(phases, h_conj, max_iters, 1e-20)
+        alone = [_solve_phases(phases[:, k : k + 1], h_conj, max_iters, 1e-20) for k in range(n)]
+        assert np.array_equal(batch, np.hstack(alone))
+    rng = np.random.default_rng(4)
+    overlaps = rng.normal(size=(12, 50)) + 1j * rng.normal(size=(12, 50))
+    f = _residual(overlaps, 1 / 6)[0]
+    assert np.array_equal(f, [_residual(overlaps[:, k : k + 1], 1 / 6)[0][0] for k in range(50)])
+    # The same through the whole search, 2d = 12 overlaps summed per restart.
+    cfg = SearchConfig(restarts=30, master_seed=4)
+    a = find_mu_vectors(make_family_pair("P0"), cfg)
+    b = find_mu_vectors(make_family_pair("P0"), cfg, _chunk=1)
+    assert (a.hits, a.residuals) == (b.hits, b.residuals)
+    assert all(np.array_equal(u, v) for u, v in zip(a.vectors, b.vectors))
 
 
 def test_gauge_fix_matches_per_row_formula():
