@@ -14,7 +14,6 @@ from .bases import (
     clock_matrix,
     hw_eigenbasis,
     is_mu_pair,
-    is_orthonormal,
     product_basis,
     same_basis_up_to_phase,
     shift_matrix,
@@ -52,24 +51,19 @@ from .families import (
     make_Itilde,
     make_R,
     make_S,
-    make_r,
     state_label_form,
     validate_family_params,
 )
 from .linalg import (
-    DEFAULT_TOL,
+    EQ_TOL,
+    MU_TOL,
     OMEGA,
     OMEGA2,
-    Tolerance,
-    adjoint,
-    conjugate,
+    ORTHO_TOL,
     format_matrix,
     is_unitary,
-    overlap,
-    overlap_sq,
     parse_matrix,
     tensor_product,
-    transpose,
 )
 from .search import (
     ExtensionResult,

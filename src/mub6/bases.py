@@ -1,5 +1,5 @@
 """Clock/shift eigenbases in dimensions 2 and 3, product bases of C^2 x C^3,
-and the orthonormality / mutual-unbiasedness predicates."""
+and the mutual-unbiasedness and same-basis predicates."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ import numpy as np
 
 from .errors import DimensionError, NotABasisError, NotMUPairError
 from .linalg import (
-    DEFAULT_TOL,
+    EQ_TOL,
+    MU_TOL,
     OMEGA,
     OMEGA2,
     TAU,
-    Tolerance,
     _freeze,
     as_matrix,
     as_vector,
@@ -83,7 +83,7 @@ class ProductLabel:
         f2 = as_vector(self.factor2, dim=2)
         f3 = as_vector(self.factor3, dim=3)
         for f in (f2, f3):
-            if abs(np.linalg.norm(f) - 1.0) > DEFAULT_TOL.eq_tol:
+            if abs(np.linalg.norm(f) - 1.0) > EQ_TOL:
                 raise NotABasisError(f"label factor is not a unit vector in {self.name!r}")
         object.__setattr__(self, "factor2", _freeze(f2))
         object.__setattr__(self, "factor3", _freeze(f3))
@@ -104,7 +104,7 @@ class Basis:
         if m.shape[0] != m.shape[1]:
             raise NotABasisError(f"basis matrix must be square, got {m.shape}")
         gram_dev = np.abs(m.conj().T @ m - np.eye(m.shape[0]))
-        if float(gram_dev.max()) > DEFAULT_TOL.eq_tol:
+        if float(gram_dev.max()) > EQ_TOL:
             i, j = np.unravel_index(int(gram_dev.argmax()), gram_dev.shape)
             raise NotABasisError(
                 f"columns are not orthonormal: Gram deviation {gram_dev[i, j]:.3e} "
@@ -117,7 +117,7 @@ class Basis:
                     f"{len(labels)} labels for a basis of dimension {m.shape[0]}"
                 )
             for k, label in enumerate(labels):
-                if np.abs(label.vector() - m[:, k]).max() > DEFAULT_TOL.eq_tol:
+                if np.abs(label.vector() - m[:, k]).max() > EQ_TOL:
                     raise NotABasisError(
                         f"label {label.name!r} does not reproduce basis vector {k}"
                     )
@@ -127,12 +127,6 @@ class Basis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def vector(self, k: int) -> np.ndarray:
-        return self.matrix[:, k].copy()
-
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.matrix[:, k].copy() for k in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -150,7 +144,7 @@ class MUCheck:
 @dataclass(frozen=True)
 class MUPair:
     """Two mutually unbiased bases of equal dimension, with optional family
-    provenance. Construction validates the MU condition at default tolerance."""
+    provenance. Construction validates the MU condition at MU_TOL."""
 
     first: Basis
     second: Basis
@@ -162,7 +156,7 @@ class MUPair:
             raise DimensionError(
                 f"pair members have different dimensions: {self.first.dim} vs {self.second.dim}"
             )
-        check = is_mu_pair(self.first, self.second, DEFAULT_TOL)
+        check = is_mu_pair(self.first, self.second)
         if not check.ok:
             raise NotMUPairError(
                 f"bases are not mutually unbiased: worst |<a|b>|^2 deviation "
@@ -215,7 +209,7 @@ def product_basis(labels) -> Basis:
     m = np.column_stack(columns)
     gram = m.conj().T @ m
     off = np.abs(gram - np.eye(6))
-    if float(off.max()) > DEFAULT_TOL.eq_tol:
+    if float(off.max()) > EQ_TOL:
         i, j = np.unravel_index(int(off.argmax()), off.shape)
         raise NotABasisError(
             f"tensor products {labels[i].name!r} and {labels[j].name!r} are not "
@@ -224,16 +218,7 @@ def product_basis(labels) -> Basis:
     return Basis(m, labels=labels)
 
 
-def is_orthonormal(basis_or_matrix, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff the Gram matrix is within eq_tol of the identity."""
-    m = _coerce(basis_or_matrix)
-    if m.shape[0] != m.shape[1]:
-        return False
-    dev = np.abs(m.conj().T @ m - np.eye(m.shape[0]))
-    return float(dev.max()) <= tol.eq_tol
-
-
-def is_mu_pair(first, second, tol: Tolerance = DEFAULT_TOL) -> MUCheck:
+def is_mu_pair(first, second) -> MUCheck:
     """Check |<a_i|b_j>|^2 = 1/d for all cross overlaps.
 
     Returns the verdict together with the worst deviation and the index pair
@@ -249,14 +234,14 @@ def is_mu_pair(first, second, tol: Tolerance = DEFAULT_TOL) -> MUCheck:
     flat = int(dev.argmax())
     i, j = np.unravel_index(flat, dev.shape)
     worst = float(dev[i, j])
-    return MUCheck(worst <= tol.mu_tol, worst, (int(i), int(j)))
+    return MUCheck(worst <= MU_TOL, worst, (int(i), int(j)))
 
 
-def same_basis_up_to_phase(first, second, tol: Tolerance = DEFAULT_TOL) -> PhaseWitness | None:
+def same_basis_up_to_phase(first, second) -> PhaseWitness | None:
     """Find a column permutation and per-column phases identifying two bases.
 
     Returns a PhaseWitness with A[:, k] = exp(1j phases[k]) B[:, perm[k]]
-    within eq_tol, or None if no such identification exists. The search is
+    within EQ_TOL, or None if no such identification exists. The search is
     deterministic: candidate matches are tried in increasing column order.
     """
     a = _coerce(first)
@@ -273,7 +258,7 @@ def same_basis_up_to_phase(first, second, tol: Tolerance = DEFAULT_TOL) -> Phase
             if abs(ip) < 1e-12:
                 continue
             phase = ip / abs(ip)
-            if np.abs(a[:, k] - phase * b[:, j]).max() <= tol.eq_tol:
+            if np.abs(a[:, k] - phase * b[:, j]).max() <= EQ_TOL:
                 row.append((j, float(np.angle(phase))))
         if not row:
             return None

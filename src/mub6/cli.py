@@ -14,16 +14,15 @@ from . import serialize
 from .equivalence import (
     TransformScript,
     dephase,
-    ftilde_to_fourier,
     haagerup_fingerprint,
     reduce_P1,
     reduce_P2,
     reduce_P3,
 )
-from .errors import Mub6Error
+from .errors import FormatError, Mub6Error
 from .families import FamilyParams, make_family_pair
 from .bases import is_mu_pair
-from .linalg import DEFAULT_TOL, parse_matrix
+from .linalg import EQ_TOL, parse_matrix
 from .search import SearchConfig, find_extension_basis, orthogonality_graph
 
 _PARAM_FLAGS = ("xi", "eta", "zeta", "chi", "sigma", "tau")
@@ -72,8 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text ({exc})") from exc
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -96,7 +98,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     pair = serialize.pair_from_dict(serialize.load_json(_read(args.pair)))
-    check = is_mu_pair(pair.first, pair.second, DEFAULT_TOL)
+    check = is_mu_pair(pair.first, pair.second)
     report = {
         "mu_ok": bool(check.ok),
         "worst_deviation": float(check.worst_deviation),
@@ -144,7 +146,7 @@ def _cmd_fingerprint(args: argparse.Namespace) -> int:
             for (re, im), count in fp.classes
         ],
         "digest": fp.digest(),
-        "dephased": bool(abs(dephased - matrix).max() < DEFAULT_TOL.eq_tol),
+        "dephased": bool(abs(dephased - matrix).max() < EQ_TOL),
     }
     _emit(serialize.dump_json(report), None)
     return 0

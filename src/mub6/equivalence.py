@@ -14,12 +14,10 @@ from .bases import Basis, MUPair, hw_eigenbasis, is_mu_pair, same_basis_up_to_ph
 from .errors import InvalidMoveError, NotHadamardError
 from .families import make_family_pair, make_Ftilde, make_S, FamilyParams
 from .linalg import (
-    DEFAULT_TOL,
+    EQ_TOL,
     OMEGA2,
     TAU,
-    Tolerance,
     _freeze,
-    adjoint,
     as_matrix,
     format_matrix,
     is_unitary,
@@ -62,10 +60,6 @@ class Move:
     @staticmethod
     def left_unitary(matrix) -> "Move":
         return Move("left-unitary", matrix=_freeze(as_matrix(matrix)))
-
-    @staticmethod
-    def transpose_both() -> "Move":
-        return Move("transpose-both")
 
     @staticmethod
     def conjugate_both() -> "Move":
@@ -113,9 +107,6 @@ class TransformScript:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def __add__(self, other: "TransformScript") -> "TransformScript":
-        return TransformScript(self.moves + other.moves)
-
     def to_json_dict(self) -> dict:
         return {"moves": [m.to_json_dict() for m in self.moves]}
 
@@ -139,7 +130,7 @@ def _check_phases(phases: tuple[float, ...] | None, d: int, move: Move) -> np.nd
     return arr
 
 
-def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, np.ndarray]:
     d = m1.shape[0]
     kind = move.kind
     if kind == "permute-rows":
@@ -165,8 +156,8 @@ def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move, tol: Tolerance) -> tu
     if kind == "left-unitary":
         if move.matrix is None or move.matrix.shape != (d, d):
             raise InvalidMoveError(f"left-unitary needs a {d}x{d} matrix payload")
-        if not is_unitary(move.matrix, tol):
-            raise InvalidMoveError("left-unitary payload is not unitary within eq_tol")
+        if not is_unitary(move.matrix):
+            raise InvalidMoveError("left-unitary payload is not unitary within EQ_TOL")
         return move.matrix @ m1, move.matrix @ m2
     if kind == "transpose-both":
         return m1.T.copy(), m2.T.copy()
@@ -177,13 +168,13 @@ def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move, tol: Tolerance) -> tu
     raise InvalidMoveError(f"unknown move kind {move.kind!r}")
 
 
-def apply_script(pair: MUPair, script: TransformScript, tol: Tolerance = DEFAULT_TOL) -> MUPair:
+def apply_script(pair: MUPair, script: TransformScript) -> MUPair:
     """Replay a script on a pair, checking the MU invariant after every move."""
     m1 = pair.first.matrix.copy()
     m2 = pair.second.matrix.copy()
     for idx, move in enumerate(script):
-        m1, m2 = _apply_raw(m1, m2, move, tol)
-        check = is_mu_pair(m1, m2, tol)
+        m1, m2 = _apply_raw(m1, m2, move)
+        check = is_mu_pair(m1, m2)
         if not check.ok:
             raise InvalidMoveError(
                 f"move {idx} ({move.kind}) broke mutual unbiasedness: "
@@ -192,13 +183,13 @@ def apply_script(pair: MUPair, script: TransformScript, tol: Tolerance = DEFAULT
     return MUPair(Basis(m1), Basis(m2))
 
 
-def _assert_hadamard(h: np.ndarray, tol: Tolerance) -> int:
+def _assert_hadamard(h: np.ndarray) -> int:
     d = h.shape[0]
     if h.shape[0] != h.shape[1]:
         raise NotHadamardError(f"Hadamard check needs a square matrix, got {h.shape}")
     target = 1.0 / np.sqrt(d)
     dev = np.abs(np.abs(h) - target)
-    if float(dev.max()) > tol.eq_tol:
+    if float(dev.max()) > EQ_TOL:
         i, j = np.unravel_index(int(dev.argmax()), dev.shape)
         raise NotHadamardError(
             f"entry modulus at ({i}, {j}) deviates from 1/sqrt({d}) by {dev[i, j]:.3e}"
@@ -206,7 +197,7 @@ def _assert_hadamard(h: np.ndarray, tol: Tolerance) -> int:
     return d
 
 
-def dephase(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, TransformScript]:
+def dephase(h) -> tuple[np.ndarray, TransformScript]:
     """Normalize a Hadamard so its first row and column are real positive.
 
     Returns the dephased matrix and a script that, applied to the pair
@@ -214,7 +205,7 @@ def dephase(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, TransformScrip
     phases on both, and the column phases that restore the first member.
     """
     m = as_matrix(h)
-    _assert_hadamard(m, tol)
+    _assert_hadamard(m)
     col_angles = -np.angle(m[0, :])
     m1 = m * np.exp(1j * col_angles)[None, :]
     row_angles = -np.angle(m1[:, 0])
@@ -229,7 +220,7 @@ def dephase(h, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, TransformScrip
     return m2, script
 
 
-def restore_first_moves(m1: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[Move]:
+def restore_first_moves(m1: np.ndarray) -> list[Move]:
     """Column moves turning a monomial first member back into the identity.
 
     The member must equal the identity basis up to column order and phases;
@@ -238,7 +229,7 @@ def restore_first_moves(m1: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> list[Mo
     omitted from the emitted moves.
     """
     d = m1.shape[0]
-    witness = same_basis_up_to_phase(m1, np.eye(d, dtype=np.complex128), tol)
+    witness = same_basis_up_to_phase(m1, np.eye(d, dtype=np.complex128))
     if witness is None:
         raise InvalidMoveError("first member is not the identity basis up to column phases")
     # m1[:, k] = e^{i theta_k} e_{pi(k)}; putting column sigma(i) at slot i
@@ -273,7 +264,7 @@ def reduce_P1(xi: float, eta: float) -> tuple[MUPair, TransformScript]:
     pair = make_family_pair("P1", FamilyParams(xi=xi, eta=eta))
     script = TransformScript(
         (
-            Move.left_unitary(adjoint(pair.second.matrix)),
+            Move.left_unitary(pair.second.matrix.conj().T),
             Move.conjugate_both(),
             Move.swap_members(),
         )
@@ -320,7 +311,7 @@ def reduce_P3(zeta: float, chi: float, sigma: float, tau: float) -> tuple[MUPair
     member to the identity and shifts the phase parameters of the second.
     """
     pair = make_family_pair("P3", FamilyParams(zeta=zeta, chi=chi, sigma=sigma, tau=tau))
-    u = _block_diag(np.eye(3, dtype=np.complex128), adjoint(make_S(zeta, chi)))
+    u = _block_diag(np.eye(3, dtype=np.complex128), make_S(zeta, chi).conj().T)
     script = TransformScript((Move.left_unitary(u),))
     return apply_script(pair, script), script
 
@@ -336,14 +327,14 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
     """
     pair = make_family_pair("P2")
     hy = hw_eigenbasis(3, "y").matrix
-    u = _block_diag(np.eye(3, dtype=np.complex128), 1j * adjoint(hy))
+    u = _block_diag(np.eye(3, dtype=np.complex128), 1j * hy.conj().T)
     moves: list[Move] = [Move.left_unitary(u)]
 
     def current(ms: list[Move]) -> tuple[np.ndarray, np.ndarray]:
         m1 = pair.first.matrix.copy()
         m2 = pair.second.matrix.copy()
         for mv in ms:
-            m1, m2 = _apply_raw(m1, m2, mv, DEFAULT_TOL)
+            m1, m2 = _apply_raw(m1, m2, mv)
         return m1, m2
 
     moves.extend(restore_first_moves(current(moves)[0]))
@@ -359,7 +350,7 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
     script = TransformScript(tuple(moves))
     out = apply_script(pair, script)
     first_dev = float(np.abs(out.first.matrix - np.eye(6)).max())
-    if first_dev > DEFAULT_TOL.eq_tol:
+    if first_dev > EQ_TOL:
         raise InvalidMoveError(f"P2 reduction failed to restore the identity ({first_dev:.3e})")
     return out, script
 
@@ -386,10 +377,12 @@ class HadamardFingerprint:
         return hashlib.sha256(payload).hexdigest()
 
 
-def haagerup_fingerprint(h, tol: Tolerance = DEFAULT_TOL, quantum: float = 1e-8) -> HadamardFingerprint:
-    """Fingerprint a Hadamard via its rounded quadruple-product multiset."""
+def haagerup_fingerprint(h) -> HadamardFingerprint:
+    """Fingerprint a Hadamard via its quadruple-product multiset, rounded to
+    a quantum of 1e-8."""
+    quantum = 1e-8
     m = as_matrix(h)
-    d = _assert_hadamard(m, tol)
+    d = _assert_hadamard(m)
     mc = m.conj()
     # products[i, k, j, l] = h_ij * h_kl * conj(h_il) * conj(h_kj), scaled to
     # unit modulus by d^2.
@@ -420,7 +413,7 @@ def _dephase_batch(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def hadamard_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
+def hadamard_equivalent(a, b) -> bool:
     """Exact Hadamard-equivalence decision by exhaustive permutation search.
 
     Two Hadamards are equivalent when one maps to the other by row/column
@@ -430,11 +423,11 @@ def hadamard_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     ma = as_matrix(a)
     mb = as_matrix(b)
-    d = _assert_hadamard(ma, tol)
+    d = _assert_hadamard(ma)
     if mb.shape != ma.shape:
         return False
-    _assert_hadamard(mb, tol)
-    if haagerup_fingerprint(ma, tol) != haagerup_fingerprint(mb, tol):
+    _assert_hadamard(mb)
+    if haagerup_fingerprint(ma) != haagerup_fingerprint(mb):
         return False
     target = _dephase_batch(ma[None, :, :])[0]
     col_perms = np.array(list(itertools.permutations(range(d))), dtype=int)
@@ -443,6 +436,6 @@ def hadamard_equivalent(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
         stack = np.transpose(rowed[:, col_perms], (1, 0, 2))
         stack = _dephase_batch(stack)
         dev = np.abs(stack - target[None, :, :]).max(axis=(1, 2))
-        if float(dev.min()) <= 10 * tol.eq_tol:
+        if float(dev.min()) <= 10 * EQ_TOL:
             return True
     return False

@@ -9,7 +9,7 @@ import numpy as np
 
 from .bases import Basis, MUPair, ProductLabel, hw_eigenbasis
 from .errors import ParameterRangeError
-from .linalg import TAU, as_matrix
+from .linalg import TAU
 
 FAMILY_IDS = ("P0", "P1", "P2", "P3")
 
@@ -95,19 +95,6 @@ def make_S(zeta: float, chi: float) -> np.ndarray:
     return np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=np.complex128)
 
 
-def make_r(sigma: float, sign: int = +1) -> np.ndarray:
-    """Qubit operator mapping the x basis to (|0> +/- e^{i sigma}|1>)/sqrt2.
-
-    With sign +1 this is diag(1, e^{i sigma}): the image of |0_x> carries the
-    plus sign and the image of |1_x> the minus sign. sign -1 swaps the two.
-    """
-    if not (0.0 < sigma < np.pi):
-        raise ParameterRangeError(f"sigma must lie in the open interval (0, pi), got {sigma!r}")
-    if sign not in (+1, -1):
-        raise ParameterRangeError(f"sign must be +1 or -1, got {sign!r}")
-    return np.diag([1.0, sign * np.exp(1j * sigma)]).astype(np.complex128)
-
-
 def make_Ftilde(xi: float, eta: float) -> np.ndarray:
     """Two-parameter 6x6 complex Hadamard [[F3, F3], [F3 D, -F3 D]] / sqrt2
     with D = diag(1, e^{i xi}, e^{i eta})."""
@@ -149,11 +136,10 @@ def _labels_z_z() -> tuple[ProductLabel, ...]:
     return tuple(out)
 
 
-def _labels_x_r(r3: np.ndarray, name3: str) -> tuple[ProductLabel, ...]:
-    """Labels |0_x, J> then |1_x, R J> with C^3 states given by columns of r3
-    applied to the x basis; name3 annotates the C^3 basis."""
+def _labels_x_r(cols: np.ndarray, name3: str) -> tuple[ProductLabel, ...]:
+    """Labels |0_x, J_x> then |1_x, c_J> with c_J the columns of cols; name3
+    annotates the C^3 states c_J."""
     f3 = hw_eigenbasis(3, "x").matrix
-    rf3 = as_matrix(r3) @ f3
     out = []
     for bigj in range(3):
         out.append(
@@ -162,7 +148,7 @@ def _labels_x_r(r3: np.ndarray, name3: str) -> tuple[ProductLabel, ...]:
     for bigj in range(3):
         out.append(
             ProductLabel(
-                _qubit_state("x", 0.0, -1), rf3[:, bigj], name=f"|1_x,{name3.format(J=bigj)}>"
+                _qubit_state("x", 0.0, -1), cols[:, bigj], name=f"|1_x,{name3.format(J=bigj)}>"
             )
         )
     return tuple(out)
@@ -210,15 +196,15 @@ def make_family_pair(family: str, params: FamilyParams | None = None) -> MUPair:
     P3 -> {Itilde(zeta,chi), Ftilde(sigma,tau)}.
     """
     params = validate_family_params(family, params)
+    f3 = hw_eigenbasis(3, "x").matrix
     if family == "P0":
         first = Basis(np.eye(6, dtype=np.complex128), labels=_labels_z_z())
-        second = Basis(make_Ftilde(0.0, 0.0), labels=_labels_x_r(np.eye(3), "{J}_x"))
+        second = Basis(make_Ftilde(0.0, 0.0), labels=_labels_x_r(f3, "{J}_x"))
     elif family == "P1":
-        r = make_R(params.xi, params.eta)
         first = Basis(np.eye(6, dtype=np.complex128), labels=_labels_z_z())
         second = Basis(
             make_Ftilde(params.xi, params.eta).T.copy(),
-            labels=_labels_x_r(r, "R{J}_x"),
+            labels=_labels_x_r(make_R(params.xi, params.eta) @ f3, "R{J}_x"),
         )
     elif family == "P2":
         angle = 2.0 * TAU / 3.0
@@ -226,7 +212,7 @@ def make_family_pair(family: str, params: FamilyParams | None = None) -> MUPair:
         first = Basis(make_Itilde(angle, angle), labels=_labels_itilde(s, "{J}_y"))
         second = Basis(
             make_Ftilde(angle, angle).T.copy(),
-            labels=_labels_x_r(make_R(angle, angle), "{J}_w"),
+            labels=_labels_x_r(make_R(angle, angle) @ f3, "{J}_w"),
         )
     else:
         s = make_S(params.zeta, params.chi)
@@ -249,22 +235,11 @@ def state_label_form(
     params = validate_family_params(family, params)
     f3 = hw_eigenbasis(3, "x").matrix
     if family == "P0":
-        return _labels_z_z(), _labels_x_r(np.eye(3), "{J}_x")
+        return _labels_z_z(), _labels_x_r(f3, "{J}_x")
     if family == "P1":
-        return _labels_z_z(), _labels_x_r(make_R(params.xi, params.eta), "R{J}_x")
+        return _labels_z_z(), _labels_x_r(make_R(params.xi, params.eta) @ f3, "R{J}_x")
     if family == "P2":
         hy = hw_eigenbasis(3, "y").matrix
-        hw = hw_eigenbasis(3, "w").matrix
-        first = tuple(
-            [ProductLabel(_qubit_state("z0"), np.eye(3)[:, j], name=f"|0_z,{j}_z>") for j in range(3)]
-            + [ProductLabel(_qubit_state("z1"), hy[:, j], name=f"|1_z,{j}_y>") for j in range(3)]
-        )
-        second = tuple(
-            [ProductLabel(_qubit_state("x", 0.0, +1), f3[:, j], name=f"|0_x,{j}_x>") for j in range(3)]
-            + [ProductLabel(_qubit_state("x", 0.0, -1), hw[:, j], name=f"|1_x,{j}_w>") for j in range(3)]
-        )
-        return first, second
+        return _labels_itilde(hy, "{J}_y"), _labels_x_r(hw_eigenbasis(3, "w").matrix, "{J}_w")
     s = make_S(params.zeta, params.chi)
-    first = _labels_itilde(s, "S{J}_z")
-    second = _labels_ftilde(params.sigma, params.tau)
-    return first, second
+    return _labels_itilde(s, "S{J}_z"), _labels_ftilde(params.sigma, params.tau)

@@ -7,8 +7,6 @@ be shared freely between threads and replayed deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, FormatError
@@ -20,28 +18,13 @@ TAU = 2.0 * np.pi
 OMEGA = np.exp(1j * TAU / 3.0)
 OMEGA2 = np.exp(2j * TAU / 3.0)
 
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Comparison thresholds shared across the package.
-
-    eq_tol bounds entrywise absolute deviations, mu_tol bounds deviations of
-    squared overlaps from 1/d, and ortho_tol is the largest |<u|v>| still
-    treated as zero when building orthogonality graphs.
-    """
-
-    eq_tol: float = 1e-10
-    mu_tol: float = 1e-9
-    ortho_tol: float = 1e-7
-
-    def __post_init__(self) -> None:
-        for name in ("eq_tol", "mu_tol", "ortho_tol"):
-            value = float(getattr(self, name))
-            if not (value > 0.0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be strictly positive and finite")
-
-
-DEFAULT_TOL = Tolerance()
+# Comparison thresholds shared across the package: EQ_TOL bounds entrywise
+# absolute deviations, MU_TOL bounds deviations of squared overlaps from 1/d,
+# and ORTHO_TOL is the largest |<u|v>| still treated as zero when building
+# orthogonality graphs.
+EQ_TOL = 1e-10
+MU_TOL = 1e-9
+ORTHO_TOL = 1e-7
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -86,40 +69,14 @@ def tensor_product(u, v) -> np.ndarray:
     return np.kron(a, b)
 
 
-def overlap(u, v) -> complex:
-    """Inner product <u|v>, antilinear in the first argument."""
-    a = as_vector(u)
-    b = as_vector(v)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return complex(np.vdot(a, b))
-
-
-def overlap_sq(u, v) -> float:
-    """Squared overlap |<u|v>|^2."""
-    return abs(overlap(u, v)) ** 2
-
-
-def adjoint(m) -> np.ndarray:
-    return as_matrix(m).conj().T.copy()
-
-
-def transpose(m) -> np.ndarray:
-    return as_matrix(m).T.copy()
-
-
-def conjugate(m) -> np.ndarray:
-    return as_matrix(m).conj().copy()
-
-
-def is_unitary(m, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff max entry of |M^dagger M - I| is at most eq_tol."""
+def is_unitary(m) -> bool:
+    """True iff max entry of |M^dagger M - I| is at most EQ_TOL."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"unitarity is defined for square matrices, got {a.shape}")
     gram = a.conj().T @ a
     dev = np.abs(gram - np.eye(a.shape[0]))
-    return float(dev.max()) <= tol.eq_tol
+    return float(dev.max()) <= EQ_TOL
 
 
 def _format_entry(z: complex) -> str:
@@ -157,11 +114,13 @@ def parse_matrix(text: str) -> np.ndarray:
         raise FormatError("matrix dimensions must be positive")
     if len(lines) - 1 != nrows:
         raise FormatError(f"expected {nrows} rows, got {len(lines) - 1}")
-    out = np.empty((nrows, ncols), dtype=np.complex128)
-    for i, line in enumerate(lines[1:]):
-        tokens = line.split()
+    # Every row is checked against the header before the header sizes anything.
+    rows = [line.split() for line in lines[1:]]
+    for i, tokens in enumerate(rows):
         if len(tokens) != ncols:
             raise FormatError(f"row {i} has {len(tokens)} entries, expected {ncols}")
+    out = np.empty((nrows, ncols), dtype=np.complex128)
+    for i, tokens in enumerate(rows):
         for j, token in enumerate(tokens):
             try:
                 out[i, j] = complex(token)

@@ -11,40 +11,39 @@ import numpy as np
 
 from .bases import Basis, MUPair
 from .errors import DimensionError, ParameterRangeError
-from .linalg import DEFAULT_TOL, Tolerance, as_vector
+from .linalg import ORTHO_TOL, as_vector
 
 # Levenberg-Marquardt damping: its starting value, and the value past which a
 # restart whose steps keep failing is given up as stalled.
 _DAMPING = 1e-3
 _DAMPING_CAP = 1e12
 
+# MAX_ITERS caps the Levenberg-Marquardt iterations of each restart;
+# RESIDUAL_TOL is both where a restart stops and what it must reach to be
+# accepted; CLUSTER_TOL is the Euclidean radius of a cluster. find_mu_vectors
+# reads them when it runs.
+MAX_ITERS = 2000
+RESIDUAL_TOL = 1e-20
+CLUSTER_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Restart budget, seeding and acceptance thresholds for the search.
+    """Restart budget and seeding of the search.
 
     Restart k draws its start phases from its own counter blocks of one
     Philox stream keyed by master_seed, so results do not depend on how
-    restarts are batched or scheduled. max_iters caps the Levenberg-Marquardt iterations
-    of each restart; residual_tol is both where a restart stops and what it
-    must reach to be accepted.
+    restarts are batched or scheduled.
     """
 
     restarts: int = 20000
     master_seed: int = 0
-    max_iters: int = 2000
-    residual_tol: float = 1e-20
-    cluster_tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ParameterRangeError("restarts must be at least 1")
         if not 0 <= self.master_seed < 2**128:
             raise ParameterRangeError("master_seed must lie in [0, 2**128)")
-        if self.max_iters < 1:
-            raise ParameterRangeError("max_iters must be at least 1")
-        if not (self.residual_tol > 0.0 and self.cluster_tol > 0.0):
-            raise ParameterRangeError("tolerances must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ class MUVectorSet:
 
 @dataclass(frozen=True)
 class OrthoGraph:
-    """Orthogonality graph on MU vectors: an edge where |<u|v>| <= ortho_tol."""
+    """Orthogonality graph on MU vectors: an edge where |<u|v>| <= ORTHO_TOL."""
 
     num_vectors: int
     edges: tuple[tuple[int, int], ...]
@@ -208,7 +207,7 @@ def _damped_step(
 
 
 def _solve_phases(
-    phases: np.ndarray, h_conj: np.ndarray, max_iters: int, tol: float
+    phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float
 ) -> np.ndarray:
     """Batched Levenberg-Marquardt on the free phases phi_1..phi_{d-1} of
     u = e^{i phi} / sqrt(d) (phi_0 = 0), driving |(H^dagger u)_j|^2 to 1/d.
@@ -217,7 +216,7 @@ def _solve_phases(
     The d residuals sum to zero, so the system is square. Each restart keeps
     the phases, u, the overlaps w, the deviations r and the residual f of its
     current point, replaced from accepted trials, so an iteration evaluates
-    only its trial. A restart stops on its own once its residual is <= tol or
+    only its trial. A restart stops on its own once its residual is <= stop or
     its damping passes _DAMPING_CAP, and every update is elementwise over the
     restarts, so trajectories are identical no matter how they are chunked.
     """
@@ -238,7 +237,7 @@ def _solve_phases(
     damping = np.full(rows.size, _DAMPING)
     out = np.empty((d, rows.size), dtype=complex)
     for _ in range(max_iters):
-        live = (state[4] > tol) & (damping < _DAMPING_CAP)
+        live = (state[4] > stop) & (damping < _DAMPING_CAP)
         if not live.all():
             out[:, rows[~live]] = state[1][:, ~live]
             rows, damping = rows[live], damping[live]
@@ -274,34 +273,34 @@ def _distances(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(rows - vec[None, :]) ** 2, axis=1))
 
 
-def _cluster(vecs: np.ndarray, res: np.ndarray, tol: float) -> tuple[np.ndarray, ...]:
+def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
     """Greedy clustering of the rows in order: row k joins the nearest center
-    created before it (the first on ties) if within tol, else becomes one.
+    created before it (the first on ties) if within radius, else becomes one.
 
     Built a cluster at a time; a claimed row can move only to a later center
-    within 2 tol of its current one (triangle inequality), so only those rows
-    are measured again. Rows are first screened by a unit-norm projection of
-    their real and imaginary parts: a row 2 tol or more from the center in it
-    is farther than tol (Cauchy-Schwarz; the reach adds room for rounding), so
-    only the rest are measured at all. Returns the center rows, the
-    representative rows (best residual, the first on ties) and the hits of
-    each cluster.
+    within 2 radius of its current one (triangle inequality), so only those
+    rows are measured again. Rows are first screened by a unit-norm projection
+    of their real and imaginary parts: a row 2 radius or more from the center
+    in it is farther than radius (Cauchy-Schwarz; the reach adds room for
+    rounding), so only the rest are measured at all. Returns the center rows,
+    the representative rows (best residual, the first on ties) and the hits
+    of each cluster.
     """
     owner = np.full(len(vecs), -1)
     best = np.full(len(vecs), np.inf)
     flat = np.concatenate([vecs.real, vecs.imag], axis=1)
     weights = np.arange(1.0, flat.shape[1] + 1)
     key = flat @ (weights / np.linalg.norm(weights))
-    reach = 2.0 * tol + 1e-12 * np.abs(flat).max(initial=0.0)
+    reach = 2.0 * radius + 1e-12 * np.abs(flat).max(initial=0.0)
     centers: list[int] = []
     c = 0
     while c < len(vecs):
         later = c + 1 + np.flatnonzero(np.abs(key[c + 1 :] - key[c]) < reach)
         # Unclaimed rows (owner -1) and rows of centers near c are candidates.
-        near = np.append(_distances(vecs[centers], vecs[c]) < 3.0 * tol, True)
+        near = np.append(_distances(vecs[centers], vecs[c]) < 3.0 * radius, True)
         cand = later[near[owner[later]]]
         dists = _distances(vecs[cand], vecs[c])
-        take = (dists < tol) & (dists < best[cand])
+        take = (dists < radius) & (dists < best[cand])
         owner[cand[take]] = owner[c] = len(centers)
         best[cand[take]] = dists[take]
         centers.append(c)
@@ -318,7 +317,7 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVe
     Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
     I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs cfg.restarts
     independent seeded solves for the d - 1 free phases, pulls each back as
-    v = A u, keeps solutions with mu_residual <= cfg.residual_tol that also
+    v = A u, keeps solutions with mu_residual <= RESIDUAL_TOL that also
     pass an independently accumulated re-check, and greedily clusters the
     survivors in canonical sorted order. Deterministic for a given
     (pair, cfg); _chunk only controls batching and never the result.
@@ -333,11 +332,11 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVe
     for lo in range(0, cfg.restarts, _chunk):
         hi = min(lo + _chunk, cfg.restarts)
         phases = _start_phases(cfg.master_seed, lo, hi, d)
-        v = _overlaps(_solve_phases(phases, h_conj, cfg.max_iters, cfg.residual_tol), a.T)
+        v = _overlaps(_solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL), a.T)
         f, _ = _residual(_overlaps(v, basis_conj), target)
         v = v.T
-        keep = f <= cfg.residual_tol
-        keep[keep] = _recheck(v[keep], basis_conj, target) <= 10.0 * cfg.residual_tol
+        keep = f <= RESIDUAL_TOL
+        keep[keep] = _recheck(v[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
         found.append((v[keep], f[keep]))
     vecs, res = (np.concatenate(parts) for parts in zip(*found))
     vecs = _gauge_fix(vecs)
@@ -345,22 +344,22 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVe
     # independent of restart and batch order.
     order = np.lexsort(np.round(np.concatenate([vecs.real, vecs.imag], axis=1), 9).T[::-1])
     vecs, res = vecs[order], res[order]
-    centers, reps, hits = _cluster(vecs, res, cfg.cluster_tol)
+    centers, reps, hits = _cluster(vecs, res, CLUSTER_TOL)
 
     # A continuum of solutions shows up as centers packed close to the
     # clustering scale; flag it rather than trying to parameterize it.
     center_vecs = vecs[centers]
     dists_sq = np.maximum(2.0 - 2.0 * np.abs(center_vecs @ center_vecs.conj().T), 0.0)
     np.fill_diagonal(dists_sq, np.inf)
-    manifold = bool(np.sqrt(dists_sq.min(initial=np.inf)) < 100.0 * cfg.cluster_tol)
+    manifold = bool(np.sqrt(dists_sq.min(initial=np.inf)) < 100.0 * CLUSTER_TOL)
 
     out = vecs[reps]
     out.setflags(write=False)
     return MUVectorSet(pair, tuple(out), tuple(res[reps].tolist()), tuple(hits.tolist()), manifold)
 
 
-def orthogonality_graph(vectors, tol: Tolerance = DEFAULT_TOL) -> OrthoGraph:
-    """Build the graph with edges exactly where |<u|v>| <= ortho_tol."""
+def orthogonality_graph(vectors) -> OrthoGraph:
+    """Build the graph with edges exactly where |<u|v>| <= ORTHO_TOL."""
     if isinstance(vectors, MUVectorSet):
         vecs = vectors.vectors
     else:
@@ -375,7 +374,7 @@ def orthogonality_graph(vectors, tol: Tolerance = DEFAULT_TOL) -> OrthoGraph:
     edges = tuple(
         (int(i), int(j))
         for i, j in zip(*iu)
-        if gram[i, j] <= tol.ortho_tol
+        if gram[i, j] <= ORTHO_TOL
     )
     return OrthoGraph(n, edges, float(offdiag.min()), float(offdiag.max()))
 
@@ -408,9 +407,7 @@ def _max_clique(n: int, edges: tuple[tuple[int, int], ...], stop_at: int) -> lis
     return best
 
 
-def find_extension_basis(
-    pair: MUPair, cfg: SearchConfig, tol: Tolerance = DEFAULT_TOL
-) -> ExtensionResult:
+def find_extension_basis(pair: MUPair, cfg: SearchConfig) -> ExtensionResult:
     """Search for a third basis MU to both members of a pair.
 
     Finds the MU vectors, builds their orthogonality graph, and runs an exact
@@ -418,7 +415,7 @@ def find_extension_basis(
     along with the largest clique size found).
     """
     vecset = find_mu_vectors(pair, cfg)
-    graph = orthogonality_graph(vecset, tol)
+    graph = orthogonality_graph(vecset)
     d = pair.dim
     clique = _max_clique(len(vecset), graph.edges, stop_at=d)
     size = max(len(clique), 1 if len(vecset) else 0)

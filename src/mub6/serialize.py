@@ -51,7 +51,7 @@ def pair_from_dict(data: dict) -> MUPair:
         raise FormatError("pair JSON 'params' must be an object or null")
     try:
         params = None if raw is None else FamilyParams(**{k: float(v) for k, v in raw.items()})
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"pair JSON 'params' must map names to numbers ({exc})") from exc
     return MUPair(Basis(first), Basis(second), family=family, params=params)
 
@@ -99,7 +99,7 @@ def vectors_from_dict(data: dict) -> tuple[np.ndarray, ...]:
     try:
         rows = [[complex(re, im) for re, im in c["vector"]] for c in data["clusters"]]
         return tuple(np.array(rows, dtype=np.complex128))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"vector-set clusters need equal-length [re, im] lists ({exc!r})") from exc
 
 
@@ -108,9 +108,11 @@ def dump_json(data: dict) -> str:
 
 
 def load_json(text: str) -> dict:
+    # JSONDecodeError and the integer digit limit are ValueErrors; deep nesting
+    # exhausts the recursion limit.
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise FormatError("expected a JSON object at the top level")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mub6 import (
-    DEFAULT_TOL,
+    EQ_TOL,
     OMEGA,
     OMEGA2,
     Basis,
@@ -15,7 +15,7 @@ from mub6 import (
     clock_matrix,
     hw_eigenbasis,
     is_mu_pair,
-    is_orthonormal,
+    is_unitary,
     make_Ftilde,
     make_S,
     product_basis,
@@ -63,8 +63,8 @@ def test_x_eigenbasis_contract():
         v = f3[:, k]
         image = x @ v
         lam = np.vdot(v, image)
-        assert np.abs(image - lam * v).max() <= DEFAULT_TOL.eq_tol
-        assert abs(abs(lam) - 1.0) <= DEFAULT_TOL.eq_tol
+        assert np.abs(image - lam * v).max() <= EQ_TOL
+        assert abs(abs(lam) - 1.0) <= EQ_TOL
 
 
 def test_qubit_y_convention_is_xz_eigenbasis():
@@ -74,7 +74,7 @@ def test_qubit_y_convention_is_xz_eigenbasis():
         v = y[:, k]
         image = xz @ v
         lam = np.vdot(v, image)
-        assert np.abs(image - lam * v).max() <= DEFAULT_TOL.eq_tol
+        assert np.abs(image - lam * v).max() <= EQ_TOL
 
 
 def test_invalid_eigenbasis_labels():
@@ -92,7 +92,7 @@ def test_eigenbases_orthonormal_and_pairwise_mu():
     for dim, labels in ((2, labels2), (3, labels3)):
         bases = {lab: hw_eigenbasis(dim, lab) for lab in labels}
         for lab in labels:
-            assert is_orthonormal(bases[lab])
+            assert is_unitary(bases[lab].matrix)
         for a, b in itertools.combinations(labels, 2):
             assert is_mu_pair(bases[a], bases[b]).ok
 
@@ -132,14 +132,6 @@ def test_product_basis_rejects_non_orthogonal():
     with pytest.raises(NotABasisError) as err:
         product_basis(labels)
     assert "dup" in str(err.value)
-
-
-def test_is_orthonormal():
-    assert is_orthonormal(np.eye(6))
-    assert is_orthonormal(make_Ftilde(0.0, 0.0))
-    repeated = np.eye(3, dtype=complex)
-    repeated[:, 1] = repeated[:, 0]
-    assert not is_orthonormal(repeated)
 
 
 def test_is_mu_pair_reports():
@@ -198,7 +190,7 @@ def test_same_basis_up_to_phase_witness_reconstructs():
     for k in range(6):
         lhs = a[:, k]
         rhs = np.exp(1j * w.phases[k]) * b[:, w.permutation[k]]
-        assert np.abs(lhs - rhs).max() <= DEFAULT_TOL.eq_tol
+        assert np.abs(lhs - rhs).max() <= EQ_TOL
 
 
 def test_same_basis_up_to_phase_is_equivalence():

@@ -1,4 +1,6 @@
 import json
+import random
+import re
 
 import numpy as np
 import pytest
@@ -227,10 +229,11 @@ def test_pair_json_round_trip_matches_memory(tmp_path, capsys):
         {"first": 5},
         {"second": None},
         {"first": ["6 6"]},
+        {"params": {"xi": 10**400}},
     ],
     ids=[
         "unknown-param", "non-numeric-param", "params-string", "params-list", "family-P9",
-        "first-number", "second-null", "first-list",
+        "first-number", "second-null", "first-list", "param-too-large",
     ],
 )
 def test_verify_rejects_malformed_pair_metadata(tmp_path, capsys, patch):
@@ -262,7 +265,11 @@ def _not_numbers(clusters):
     clusters[0]["vector"][0] = ["a", "b"]
 
 
-@pytest.mark.parametrize("mutate", [_drop_vector, _ragged, _not_a_pair, _not_numbers])
+def _too_large(clusters):
+    clusters[0]["vector"][0] = [10**400, 0]
+
+
+@pytest.mark.parametrize("mutate", [_drop_vector, _ragged, _not_a_pair, _not_numbers, _too_large])
 def test_ortho_graph_rejects_malformed_clusters(tmp_path, capsys, mutate):
     pair = MUPair(hw_eigenbasis(2, "z"), hw_eigenbasis(2, "x"))
     pair_file = tmp_path / "pair2.json"
@@ -281,3 +288,112 @@ def test_ortho_graph_rejects_malformed_clusters(tmp_path, capsys, mutate):
     payload = json.loads(err)
     assert payload["error"] == "FormatError"
     assert payload["message"]
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, the root first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _fuzz_case(rng, kind, data):
+    """One mutation of a parsed JSON file, returned as the bytes to write."""
+    data = json.loads(json.dumps(data))
+    paths = list(_paths(data))
+    matrices = [p for p in paths if isinstance(_at(data, p), str) and "\n" in _at(data, p)]
+    if kind in ("splice", "token", "header"):
+        path = rng.choice(matrices)
+        lines = _at(data, path).splitlines()
+        if kind == "splice":
+            text = _at(data, path)
+            a, b, c = sorted(rng.randrange(len(text)) for _ in range(3))
+            text = text[:c] if rng.random() < 0.5 else text[:c] + text[a:b] + text[c:]
+        elif kind == "token":
+            row = rng.randrange(1, len(lines))
+            tokens = lines[row].split()
+            tokens[rng.randrange(len(tokens))] = rng.choice(["nan", "1e999", "x", "inf"])
+            lines[row] = " ".join(tokens)
+            text = "\n".join(lines)
+        else:
+            sizes = [0, 1, 5, 6, 7, -6, 10**12, "6.5", "x"]
+            lines[0] = f"{rng.choice(sizes)} {rng.choice(sizes)}"
+            text = "\n".join(lines)
+        _at(data, path[:-1])[path[-1]] = text
+    elif kind == "drop":
+        dicts = [p for p in paths if isinstance(_at(data, p), dict) and _at(data, p)]
+        parent = _at(data, rng.choice(dicts))
+        del parent[rng.choice(sorted(parent))]
+    elif kind == "retype":
+        path = rng.choice(paths[1:])
+        _at(data, path[:-1])[path[-1]] = rng.choice([None, True, 7, 10**400, 2.5, "s", [], {}, [[1]]])
+    raw = dump_json(data).encode()
+    if kind == "number":
+        spots = [m.span() for m in re.finditer(rb"-?\d+(\.\d+)?(e[-+]?\d+)?", raw)]
+        a, b = rng.choice(spots)
+        raw = raw[:a] + rng.choice([b"NaN", b"1e999", b"-Infinity", b"x", b"1" * 5000]) + raw[b:]
+    elif kind == "truncate":
+        raw = raw[: rng.randrange(len(raw))]
+    elif kind == "nest":
+        raw = rng.choice([b"", b'{"first": ', b'{"clusters": ']) + b"[" * 200_000
+    elif kind == "utf8":
+        at = rng.randrange(len(raw))
+        raw = raw[:at] + rng.choice([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"]) + raw[at:]
+    return raw
+
+
+_FUZZ_KINDS = ("drop", "retype", "splice", "token", "header", "number", "truncate", "nest", "utf8")
+
+
+def test_malformed_inputs_keep_the_error_contract(tmp_path, capsys):
+    # Seeded mutations of a valid pair file and a valid vector file, each read
+    # by every command that takes a file: nothing may escape run(), and every
+    # exit 1 explains itself in JSON on stderr (verify's mu_ok: false report on
+    # stdout aside).
+    pair_file = tmp_path / "p0.json"
+    vectors_file = tmp_path / "vectors.json"
+    assert run_cli(capsys, "construct", "--family", "P0", "--out", str(pair_file))[0] == 0
+    code, _, _ = run_cli(
+        capsys, "search-extend", "--pair", str(pair_file), "--restarts", "50",
+        "--out", str(vectors_file),
+    )
+    assert code == 0
+    bases = [json.loads(pair_file.read_text()), json.loads(vectors_file.read_text())]
+    first = bases[0]["first"].splitlines()
+    reproduced = [
+        # A header that sizes a 6 x 10^12 matrix, deep nesting, non-UTF-8 bytes.
+        dump_json(dict(bases[0], first="\n".join(["6 1000000000000"] + first[1:]))).encode(),
+        b"[" * 200_000,
+        b"\xff" + pair_file.read_bytes(),
+    ]
+    rng = random.Random(20240611)
+    cases = reproduced + [
+        _fuzz_case(rng, _FUZZ_KINDS[i % len(_FUZZ_KINDS)], bases[i % 2]) for i in range(270)
+    ]
+    target = tmp_path / "mutated.json"
+    for i, raw in enumerate(cases):
+        target.write_bytes(raw)
+        for argv in (
+            ["verify", "--pair", str(target)],
+            ["fingerprint", "--pair", str(target)],
+            ["search-extend", "--pair", str(target), "--restarts", "2"],
+            ["ortho-graph", "--vectors", str(target)],
+        ):
+            try:
+                code = run(argv)
+            except Exception as exc:
+                pytest.fail(f"case {i}, {argv[0]}: {exc!r} escaped")
+            out, err = capsys.readouterr()
+            assert code in (0, 1), (i, argv[0], code)
+            if code == 1 and argv[0] == "verify" and not err:
+                assert json.loads(out)["mu_ok"] is False
+            elif code == 1:
+                payload = json.loads(err)
+                assert payload["error"] and payload["message"], (i, argv[0])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mub6 import (
-    DEFAULT_TOL,
+    EQ_TOL,
     Basis,
     FamilyParams,
     InvalidMoveError,
@@ -10,7 +10,6 @@ from mub6 import (
     MUPair,
     NotHadamardError,
     TransformScript,
-    adjoint,
     apply_script,
     dephase,
     fourier_family,
@@ -53,9 +52,9 @@ def test_apply_script_empty_and_swap():
 def test_apply_script_left_unitary():
     pair = p0_pair()
     ft = pair.second.matrix
-    out = apply_script(pair, TransformScript((Move.left_unitary(adjoint(ft)),)))
-    assert np.abs(out.first.matrix - adjoint(ft)).max() < 1e-14
-    assert np.abs(out.second.matrix - np.eye(6)).max() <= DEFAULT_TOL.eq_tol
+    out = apply_script(pair, TransformScript((Move.left_unitary(ft.conj().T),)))
+    assert np.abs(out.first.matrix - ft.conj().T).max() < 1e-14
+    assert np.abs(out.second.matrix - np.eye(6)).max() <= EQ_TOL
 
 
 def test_move_validation():
@@ -105,8 +104,8 @@ def test_dephase():
     assert np.abs(dephase(rephased)[0] - f3).max() < 1e-14
 
     ft, _ = dephase(make_Ftilde(0.7, 2.9))
-    assert np.abs(ft[0, :] - 1 / np.sqrt(6)).max() <= DEFAULT_TOL.eq_tol
-    assert np.abs(ft[:, 0] - 1 / np.sqrt(6)).max() <= DEFAULT_TOL.eq_tol
+    assert np.abs(ft[0, :] - 1 / np.sqrt(6)).max() <= EQ_TOL
+    assert np.abs(ft[:, 0] - 1 / np.sqrt(6)).max() <= EQ_TOL
 
     with pytest.raises(NotHadamardError):
         dephase(np.eye(6))
@@ -117,8 +116,8 @@ def test_dephase_script_replays_on_pair():
     out, script = dephase(ft)
     pair = MUPair(Basis(np.eye(6, dtype=complex)), Basis(ft))
     replayed = apply_script(pair, script)
-    assert np.abs(replayed.first.matrix - np.eye(6)).max() <= DEFAULT_TOL.eq_tol
-    assert np.abs(replayed.second.matrix - out).max() <= DEFAULT_TOL.eq_tol
+    assert np.abs(replayed.first.matrix - np.eye(6)).max() <= EQ_TOL
+    assert np.abs(replayed.second.matrix - out).max() <= EQ_TOL
 
 
 def test_reduce_P1_twenty_samples():
@@ -153,15 +152,15 @@ def test_ftilde_to_fourier():
     for _ in range(10):
         xi, eta = rng.uniform(0, 2 * np.pi, 2)
         mat, script = ftilde_to_fourier(xi, eta)
-        assert np.abs(np.abs(mat) - 1 / np.sqrt(6)).max() <= DEFAULT_TOL.eq_tol
+        assert np.abs(np.abs(mat) - 1 / np.sqrt(6)).max() <= EQ_TOL
         # Already dephased: the moves never touch the first row or column.
-        assert np.abs(mat[0, :] - 1 / np.sqrt(6)).max() <= DEFAULT_TOL.eq_tol
-        assert np.abs(mat[:, 0] - 1 / np.sqrt(6)).max() <= DEFAULT_TOL.eq_tol
+        assert np.abs(mat[0, :] - 1 / np.sqrt(6)).max() <= EQ_TOL
+        assert np.abs(mat[:, 0] - 1 / np.sqrt(6)).max() <= EQ_TOL
         assert is_mu_pair(np.eye(6), mat).ok
         # The script does the same thing to the pair {I, Ftilde}.
         pair = MUPair(Basis(np.eye(6, dtype=complex)), Basis(make_Ftilde(xi, eta)))
         replayed = apply_script(pair, script)
-        assert np.abs(replayed.first.matrix - np.eye(6)).max() <= DEFAULT_TOL.eq_tol
+        assert np.abs(replayed.first.matrix - np.eye(6)).max() <= EQ_TOL
         assert np.array_equal(replayed.second.matrix, mat)
 
 
@@ -189,7 +188,7 @@ def test_reduce_P3_degenerate_cases():
 
 def test_reduce_P2_properties():
     out, script = reduce_P2()
-    assert np.abs(out.first.matrix - np.eye(6)).max() <= DEFAULT_TOL.eq_tol
+    assert np.abs(out.first.matrix - np.eye(6)).max() <= EQ_TOL
     s6 = out.second.matrix
     deph, _ = dephase(s6)
     phases = np.mod(np.angle(deph * np.sqrt(6)), 2 * np.pi)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mub6 import (
-    DEFAULT_TOL,
+    EQ_TOL,
     FamilyParams,
     ParameterRangeError,
     clock_matrix,
@@ -13,7 +13,6 @@ from mub6 import (
     make_Ftilde,
     make_Itilde,
     make_R,
-    make_r,
     make_S,
     product_basis,
     same_basis_up_to_phase,
@@ -56,7 +55,7 @@ def test_make_S_identity_and_diagonality():
         assert is_unitary(s)
         diag = f3.conj().T @ s @ f3
         expected = np.diag([1.0, np.exp(1j * zeta), np.exp(1j * chi)])
-        assert np.abs(diag - expected).max() <= DEFAULT_TOL.eq_tol
+        assert np.abs(diag - expected).max() <= EQ_TOL
 
 
 def test_make_S_circulant_coefficient_relations():
@@ -68,35 +67,14 @@ def test_make_S_circulant_coefficient_relations():
         # Circulant structure.
         assert np.abs(s - np.array([[a, b, c], [c, a, b], [b, c, a]])).max() < 1e-15
         # Unitarity of a circulant in terms of its coefficients.
-        assert abs(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 - 1.0) <= DEFAULT_TOL.eq_tol
-        assert abs(a * b.conjugate() + b * c.conjugate() + c * a.conjugate()) <= DEFAULT_TOL.eq_tol
+        assert abs(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 - 1.0) <= EQ_TOL
+        assert abs(a * b.conjugate() + b * c.conjugate() + c * a.conjugate()) <= EQ_TOL
 
 
 def test_make_S_at_p2_point_matches_phased_y_basis():
     s = make_S(4 * np.pi / 3, 4 * np.pi / 3)
     hy = hw_eigenbasis(3, "y").matrix
     assert same_basis_up_to_phase(s, -1j * hy) is not None
-
-
-def test_make_r():
-    r = make_r(np.pi / 2)
-    x0 = hw_eigenbasis(2, "x").matrix[:, 0]
-    image = r @ x0
-    assert np.abs(image - np.array([1, 1j]) / np.sqrt(2)).max() < 1e-15
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        sigma = rng.uniform(1e-3, np.pi - 1e-3)
-        r = make_r(sigma)
-        cols = r @ hw_eigenbasis(2, "x").matrix
-        assert np.abs(np.abs(cols) - 1 / np.sqrt(2)).max() <= DEFAULT_TOL.eq_tol
-        assert is_unitary(cols)
-        assert is_mu_pair(np.eye(2), cols).ok
-    with pytest.raises(ParameterRangeError):
-        make_r(0.0)
-    with pytest.raises(ParameterRangeError):
-        make_r(np.pi)
-    with pytest.raises(ParameterRangeError):
-        make_r(1.0, sign=2)
 
 
 def test_make_Ftilde_structure():
@@ -112,7 +90,7 @@ def test_make_Ftilde_structure():
     for _ in range(25):
         xi, eta = rng.uniform(0, 2 * np.pi, 2)
         m = make_Ftilde(xi, eta)
-        assert np.abs(np.abs(m) - inv_sqrt6).max() <= DEFAULT_TOL.eq_tol  # Hadamard
+        assert np.abs(np.abs(m) - inv_sqrt6).max() <= EQ_TOL  # Hadamard
         assert is_mu_pair(np.eye(6), m).ok
 
 
@@ -224,4 +202,4 @@ def test_pair_labels_reproduce_columns():
         for member in (pair.first, pair.second):
             assert member.labels is not None
             for k, label in enumerate(member.labels):
-                assert np.abs(label.vector() - member.matrix[:, k]).max() <= DEFAULT_TOL.eq_tol
+                assert np.abs(label.vector() - member.matrix[:, k]).max() <= EQ_TOL

@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from mub6 import (
-    DEFAULT_TOL,
     Basis,
     DimensionError,
     MUPair,
     SearchConfig,
-    Tolerance,
     find_extension_basis,
     find_mu_vectors,
     hw_eigenbasis,
@@ -54,10 +52,6 @@ def pairs_d3():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SearchConfig(residual_tol=0.0)
 
 
 def test_mu_residual_examples():
@@ -329,11 +323,11 @@ def test_recheck_agrees_with_mu_residual():
 
     cfg = SearchConfig(restarts=50, master_seed=0)
     found = np.stack(find_mu_vectors(pair, cfg).vectors)
-    assert np.all(_recheck(found, basis_conj, 1 / 6) <= 10 * cfg.residual_tol)
+    assert np.all(_recheck(found, basis_conj, 1 / 6) <= 10 * search.RESIDUAL_TOL)
     nudged = found.copy()
     nudged[:, 1] += 1e-8
     nudged /= np.linalg.norm(nudged, axis=1)[:, None]
-    assert np.all(_recheck(nudged, basis_conj, 1 / 6) > 10 * cfg.residual_tol)
+    assert np.all(_recheck(nudged, basis_conj, 1 / 6) > 10 * search.RESIDUAL_TOL)
 
 
 def test_gauge_fixing():
@@ -361,12 +355,13 @@ def test_orthogonality_graph_edges():
 
 
 def test_orthogonality_graph_tolerance():
-    y = hw_eigenbasis(3, "y").matrix
-    vectors = [y[:, 0], y[:, 1]]
-    strict = orthogonality_graph(vectors, Tolerance(ortho_tol=1e-20))
-    assert strict.edges == ()  # exact zeros are below any positive tol
-    loose = orthogonality_graph(vectors, Tolerance(ortho_tol=0.9))
-    assert loose.edges == ((0, 1),)
+    # The threshold is 1e-7: an overlap just under it is an edge, one just
+    # over it is not.
+    def at_overlap(s):
+        return np.array([s, math.sqrt(1.0 - s * s), 0.0])
+
+    graph = orthogonality_graph([np.array([1.0, 0.0, 0.0]), at_overlap(0.99e-7), at_overlap(1.01e-7)])
+    assert graph.edges == ((0, 1),)
 
 
 def test_find_extension_basis_small_dims():
@@ -396,10 +391,11 @@ def test_max_clique_on_edgeless_graph():
     assert sorted(_max_clique(4, triangle, stop_at=3)) == [0, 1, 2]
 
 
-def test_empty_result_is_valid():
+def test_empty_result_is_valid(monkeypatch):
     # A short run that converges nowhere still returns a well-formed set.
+    monkeypatch.setattr(search, "MAX_ITERS", 1)
     pair = make_family_pair("P0")
-    cfg = SearchConfig(restarts=1, master_seed=12345, max_iters=1)
+    cfg = SearchConfig(restarts=1, master_seed=12345)
     vecset = find_mu_vectors(pair, cfg)
     assert len(vecset) == 0
     graph = orthogonality_graph(vecset)
