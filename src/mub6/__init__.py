@@ -11,12 +11,10 @@ from .bases import (
     MUPair,
     PhaseWitness,
     ProductLabel,
-    clock_matrix,
     hw_eigenbasis,
     is_mu_pair,
     product_basis,
     same_basis_up_to_phase,
-    shift_matrix,
 )
 from .equivalence import (
     HadamardFingerprint,
@@ -27,7 +25,6 @@ from .equivalence import (
     fourier_family,
     ftilde_to_fourier,
     haagerup_fingerprint,
-    hadamard_equivalent,
     reduce_P1,
     reduce_P2,
     reduce_P3,
@@ -51,7 +48,6 @@ from .families import (
     make_Itilde,
     make_R,
     make_S,
-    state_label_form,
     validate_family_params,
 )
 from .linalg import (

@@ -14,7 +14,6 @@ from .linalg import (
     MU_TOL,
     OMEGA,
     OMEGA2,
-    TAU,
     _freeze,
     as_matrix,
     as_vector,
@@ -23,20 +22,6 @@ from .linalg import (
 
 if TYPE_CHECKING:
     from .families import FamilyParams
-
-
-def clock_matrix(dim: int) -> np.ndarray:
-    """Clock operator Z = diag(1, w, w^2, ...) with w = exp(2 pi i / dim)."""
-    if dim not in (2, 3):
-        raise DimensionError(f"clock operator supported for dim 2 or 3, got {dim}")
-    return np.diag(np.exp(1j * TAU * np.arange(dim) / dim))
-
-
-def shift_matrix(dim: int) -> np.ndarray:
-    """Cyclic shift X with X|j> = |j+1 mod dim|; satisfies Z X = w X Z."""
-    if dim not in (2, 3):
-        raise DimensionError(f"shift operator supported for dim 2 or 3, got {dim}")
-    return np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
 
 
 # Eigenbasis matrices, columns = basis vectors. Column order and phases are

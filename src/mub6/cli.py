@@ -20,7 +20,7 @@ from .equivalence import (
     reduce_P3,
 )
 from .errors import FormatError, Mub6Error
-from .families import FamilyParams, make_family_pair
+from .families import FamilyParams, make_family_pair, validate_family_params
 from .bases import is_mu_pair
 from .linalg import EQ_TOL, parse_matrix
 from .search import SearchConfig, find_extension_basis, orthogonality_graph
@@ -53,8 +53,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--emit-script", default=None)
 
     p_fp = sub.add_parser("fingerprint", help="Haagerup fingerprint of a Hadamard")
-    p_fp.add_argument("--matrix", default=None, help="matrix text file")
-    p_fp.add_argument("--pair", default=None, help="pair JSON file")
+    source = p_fp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="matrix text file")
+    source.add_argument("--pair", help="pair JSON file")
     p_fp.add_argument("--member", default="second", choices=["first", "second"])
 
     p_search = sub.add_parser("search-extend", help="search vectors/bases MU to a pair")
@@ -111,7 +112,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     family = args.family
-    params = _family_params(args)
+    params = validate_family_params(family, _family_params(args))
     if family == "P0":
         pair = make_family_pair("P0", params)
         script = TransformScript()
@@ -128,8 +129,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_fingerprint(args: argparse.Namespace) -> int:
-    if (args.matrix is None) == (args.pair is None):
-        raise Mub6Error("fingerprint needs exactly one of --matrix or --pair")
     if args.matrix is not None:
         matrix = parse_matrix(_read(args.matrix))
     else:

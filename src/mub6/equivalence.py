@@ -5,13 +5,12 @@ families to the standard forms {I, F(xi, eta)} and {I, S6}."""
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import Basis, MUPair, hw_eigenbasis, is_mu_pair, same_basis_up_to_phase
-from .errors import InvalidMoveError, NotHadamardError
+from .errors import FormatError, InvalidMoveError, NotHadamardError
 from .families import make_family_pair, make_Ftilde, make_S, FamilyParams
 from .linalg import (
     EQ_TOL,
@@ -83,16 +82,28 @@ class Move:
 
     @staticmethod
     def from_json_dict(d: dict) -> "Move":
-        kind = d.get("kind")
-        member = d.get("member")
-        perm = tuple(int(i) - 1 for i in d["perm"]) if "perm" in d else None
-        phases = (
-            tuple(float(p) * TAU for p in d["phases_over_2pi"])
-            if "phases_over_2pi" in d
-            else None
-        )
-        matrix = _freeze(parse_matrix(d["matrix"])) if "matrix" in d else None
-        return Move(kind, member=member, perm=perm, phases=phases, matrix=matrix)
+        if not isinstance(d, dict):
+            raise FormatError(f"a script move must be an object, got {type(d).__name__}")
+        perm = _json_numbers(d, "perm", lambda i: int(i) - 1)
+        phases = _json_numbers(d, "phases_over_2pi", lambda p: float(p) * TAU)
+        matrix = None
+        if "matrix" in d:
+            if not isinstance(d["matrix"], str):
+                raise FormatError("a script move's 'matrix' must be matrix text")
+            matrix = _freeze(parse_matrix(d["matrix"]))
+        return Move(d.get("kind"), member=d.get("member"), perm=perm, phases=phases, matrix=matrix)
+
+
+def _json_numbers(d: dict, key: str, convert) -> tuple | None:
+    """The list d[key] converted entrywise, or None when the key is absent."""
+    if key not in d:
+        return None
+    if isinstance(d[key], (list, tuple)):
+        try:
+            return tuple(convert(v) for v in d[key])
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise FormatError(f"a script move's {key!r} must be a list of numbers")
 
 
 @dataclass(frozen=True)
@@ -112,7 +123,10 @@ class TransformScript:
 
     @staticmethod
     def from_json_dict(d: dict) -> "TransformScript":
-        return TransformScript(tuple(Move.from_json_dict(m) for m in d.get("moves", ())))
+        moves = d.get("moves", ()) if isinstance(d, dict) else None
+        if not isinstance(moves, (list, tuple)):
+            raise FormatError("script JSON must be an object with a 'moves' list")
+        return TransformScript(tuple(Move.from_json_dict(m) for m in moves))
 
 
 def _check_perm(perm: tuple[int, ...] | None, d: int, move: Move) -> np.ndarray:
@@ -403,39 +417,3 @@ def haagerup_fingerprint(h) -> HadamardFingerprint:
     )
     return HadamardFingerprint(quantum=quantum, classes=classes)
 
-
-def _dephase_batch(mats: np.ndarray) -> np.ndarray:
-    """Dephase a (n, d, d) stack: first row and column made real positive."""
-    col = mats[:, 0:1, :]
-    out = mats * (np.abs(col) / col)
-    row = out[:, :, 0:1]
-    out = out * (np.abs(row) / row)
-    return out
-
-
-def hadamard_equivalent(a, b) -> bool:
-    """Exact Hadamard-equivalence decision by exhaustive permutation search.
-
-    Two Hadamards are equivalent when one maps to the other by row/column
-    permutations plus diagonal phase matrices. Feasible only for small d
-    (all d! row permutations are tried, with all column permutations batched
-    per row permutation); intended for tests.
-    """
-    ma = as_matrix(a)
-    mb = as_matrix(b)
-    d = _assert_hadamard(ma)
-    if mb.shape != ma.shape:
-        return False
-    _assert_hadamard(mb)
-    if haagerup_fingerprint(ma) != haagerup_fingerprint(mb):
-        return False
-    target = _dephase_batch(ma[None, :, :])[0]
-    col_perms = np.array(list(itertools.permutations(range(d))), dtype=int)
-    for rho in itertools.permutations(range(d)):
-        rowed = mb[np.asarray(rho), :]
-        stack = np.transpose(rowed[:, col_perms], (1, 0, 2))
-        stack = _dephase_batch(stack)
-        dev = np.abs(stack - target[None, :, :]).max(axis=(1, 2))
-        if float(dev.min()) <= 10 * EQ_TOL:
-            return True
-    return False

@@ -1,5 +1,6 @@
 """Constructors for the four catalogued families P0..P3 of mutually unbiased
-product-basis pairs of C^2 x C^3, in matrix form and in state-label form."""
+product-basis pairs of C^2 x C^3, as matrices whose columns carry their
+product-state labels."""
 
 from __future__ import annotations
 
@@ -123,19 +124,6 @@ def _qubit_state(kind: str, delta: float = 0.0, sign: int = +1) -> np.ndarray:
     return np.array([1.0, sign * np.exp(1j * delta)], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def _labels_z_z() -> tuple[ProductLabel, ...]:
-    eye3 = np.eye(3, dtype=np.complex128)
-    out = []
-    for j in range(2):
-        for bigj in range(3):
-            out.append(
-                ProductLabel(
-                    _qubit_state(f"z{j}"), eye3[:, bigj], name=f"|{j}_z,{bigj}_z>"
-                )
-            )
-    return tuple(out)
-
-
 def _labels_x_r(cols: np.ndarray, name3: str) -> tuple[ProductLabel, ...]:
     """Labels |0_x, J_x> then |1_x, c_J> with c_J the columns of cols; name3
     annotates the C^3 states c_J."""
@@ -198,10 +186,10 @@ def make_family_pair(family: str, params: FamilyParams | None = None) -> MUPair:
     params = validate_family_params(family, params)
     f3 = hw_eigenbasis(3, "x").matrix
     if family == "P0":
-        first = Basis(np.eye(6, dtype=np.complex128), labels=_labels_z_z())
+        first = Basis(np.eye(6, dtype=np.complex128), labels=_labels_itilde(np.eye(3), "{J}_z"))
         second = Basis(make_Ftilde(0.0, 0.0), labels=_labels_x_r(f3, "{J}_x"))
     elif family == "P1":
-        first = Basis(np.eye(6, dtype=np.complex128), labels=_labels_z_z())
+        first = Basis(np.eye(6, dtype=np.complex128), labels=_labels_itilde(np.eye(3), "{J}_z"))
         second = Basis(
             make_Ftilde(params.xi, params.eta).T.copy(),
             labels=_labels_x_r(make_R(params.xi, params.eta) @ f3, "R{J}_x"),
@@ -223,23 +211,3 @@ def make_family_pair(family: str, params: FamilyParams | None = None) -> MUPair:
         )
     return MUPair(first, second, family=family, params=params)
 
-
-def state_label_form(
-    family: str, params: FamilyParams | None = None
-) -> tuple[tuple[ProductLabel, ...], tuple[ProductLabel, ...]]:
-    """The catalogue's state-label form of a family, as two label lists.
-
-    The labels use the pure clock/shift eigenstates; expanding them with
-    product_basis gives bases equal to the matrix form up to column phases.
-    """
-    params = validate_family_params(family, params)
-    f3 = hw_eigenbasis(3, "x").matrix
-    if family == "P0":
-        return _labels_z_z(), _labels_x_r(f3, "{J}_x")
-    if family == "P1":
-        return _labels_z_z(), _labels_x_r(make_R(params.xi, params.eta) @ f3, "R{J}_x")
-    if family == "P2":
-        hy = hw_eigenbasis(3, "y").matrix
-        return _labels_itilde(hy, "{J}_y"), _labels_x_r(hw_eigenbasis(3, "w").matrix, "{J}_w")
-    s = make_S(params.zeta, params.chi)
-    return _labels_itilde(s, "S{J}_z"), _labels_ftilde(params.sigma, params.tau)

@@ -98,6 +98,11 @@ def format_matrix(m) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _quote(text: str) -> str:
+    """repr of a short prefix of text, so an error message stays small."""
+    return repr(text[:40]) + ("..." if len(text) > 40 else "")
+
+
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the text format produced by format_matrix."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
@@ -105,11 +110,11 @@ def parse_matrix(text: str) -> np.ndarray:
         raise FormatError("empty matrix text")
     header = lines[0].split()
     if len(header) != 2:
-        raise FormatError(f"bad matrix header {lines[0]!r}, expected 'n_rows n_cols'")
+        raise FormatError(f"bad matrix header {_quote(lines[0])}, expected 'n_rows n_cols'")
     try:
         nrows, ncols = int(header[0]), int(header[1])
     except ValueError as exc:
-        raise FormatError(f"bad matrix header {lines[0]!r}") from exc
+        raise FormatError(f"bad matrix header {_quote(lines[0])}") from exc
     if nrows <= 0 or ncols <= 0:
         raise FormatError("matrix dimensions must be positive")
     if len(lines) - 1 != nrows:
@@ -125,7 +130,7 @@ def parse_matrix(text: str) -> np.ndarray:
             try:
                 out[i, j] = complex(token)
             except ValueError as exc:
-                raise FormatError(f"bad matrix entry {token!r} at ({i}, {j})") from exc
+                raise FormatError(f"bad matrix entry {_quote(token)} at ({i}, {j})") from exc
     if not np.all(np.isfinite(out)):
         raise FormatError("matrix contains non-finite entries")
     return out

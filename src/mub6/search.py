@@ -371,11 +371,8 @@ def orthogonality_graph(vectors) -> OrthoGraph:
     gram = np.abs(stack.conj() @ stack.T)
     iu = np.triu_indices(n, k=1)
     offdiag = gram[iu]
-    edges = tuple(
-        (int(i), int(j))
-        for i, j in zip(*iu)
-        if gram[i, j] <= ORTHO_TOL
-    )
+    near = offdiag <= ORTHO_TOL
+    edges = tuple(zip(iu[0][near].tolist(), iu[1][near].tolist()))
     return OrthoGraph(n, edges, float(offdiag.min()), float(offdiag.max()))
 
 
@@ -418,8 +415,7 @@ def find_extension_basis(pair: MUPair, cfg: SearchConfig) -> ExtensionResult:
     graph = orthogonality_graph(vecset)
     d = pair.dim
     clique = _max_clique(len(vecset), graph.edges, stop_at=d)
-    size = max(len(clique), 1 if len(vecset) else 0)
     basis = None
     if len(clique) >= d:
         basis = Basis(np.column_stack([vecset.vectors[i] for i in clique[:d]]))
-    return ExtensionResult(basis, size, vecset, graph)
+    return ExtensionResult(basis, len(clique), vecset, graph)

@@ -12,7 +12,6 @@ from mub6 import (
     MUPair,
     NotABasisError,
     ProductLabel,
-    clock_matrix,
     hw_eigenbasis,
     is_mu_pair,
     is_unitary,
@@ -20,11 +19,20 @@ from mub6 import (
     make_S,
     product_basis,
     same_basis_up_to_phase,
-    shift_matrix,
     tensor_product,
 )
 
 SQRT3 = np.sqrt(3.0)
+
+
+def clock_matrix(dim):
+    """Clock operator Z = diag(1, w, w^2, ...) with w = exp(2 pi i / dim)."""
+    return np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+
+
+def shift_matrix(dim):
+    """Cyclic shift X with X|j> = |j+1 mod dim>."""
+    return np.roll(np.eye(dim, dtype=np.complex128), 1, axis=0)
 
 
 def test_clock_shift_commutation():

@@ -51,12 +51,29 @@ def test_construct_rejects_bad_params(capsys):
     assert payload["error"] == "ParameterRangeError"
 
 
+def test_reduce_rejects_other_families_angles(capsys):
+    p3 = ["--zeta", "0.3", "--chi", "1.4", "--sigma", "0.9", "--tau", "2.2"]
+    for argv in (
+        ["--family", "P2", "--xi", "1.0"],
+        ["--family", "P1", "--xi", "1", "--eta", "2", "--zeta", "3"],
+        ["--family", "P3", *p3, "--xi", "5"],
+    ):
+        code, out, err = run_cli(capsys, "reduce", *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "ParameterRangeError"
+
+
 def test_usage_errors_exit_2(capsys):
     code, _, _ = run_cli(capsys, "construct", "--family", "P7")
     assert code == 2
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == 2
     code, _, _ = run_cli(capsys, "construct", "--family", "P0", "--bogus-flag", "1")
+    assert code == 2
+    # fingerprint reads exactly one of --matrix and --pair.
+    code, _, _ = run_cli(capsys, "fingerprint")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "fingerprint", "--matrix", "h.txt", "--pair", "p.json")
     assert code == 2
 
 

@@ -98,6 +98,11 @@ def test_parse_matrix_errors():
     # A row that disagrees with a huge header is refused before any allocation.
     with pytest.raises(FormatError):
         parse_matrix("1 1000000000000\n1+0j\n")
+    # Messages quote only a short prefix of a huge header or entry.
+    for text in ("[" * 200_000, "1 1\n" + "x" * 200_000 + "\n"):
+        with pytest.raises(FormatError) as info:
+            parse_matrix(text)
+        assert len(str(info.value)) < 200
 
 
 def test_omega_is_exact_cube_root():
