@@ -18,6 +18,9 @@ from .linalg import ORTHO_TOL, as_vector
 _DAMPING = 1e-3
 _DAMPING_CAP = 1e12
 
+# The most restarts the solver keeps live at once.
+_WIDTH = 4096
+
 # MAX_ITERS caps the Levenberg-Marquardt iterations of each restart;
 # RESIDUAL_TOL is both where a restart stops and what it must reach to be
 # accepted; CLUSTER_TOL is the Euclidean radius of a cluster. find_mu_vectors
@@ -152,6 +155,25 @@ def _start_phases(master_seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
     return 2.0 * np.pi * draws[:, : dim - 1].T
 
 
+@dataclass(frozen=True)
+class _Starts:
+    """The (d - 1, n) start phases of restarts 0..n-1 of a seeded search, in
+    place of _start_phases's array: slicing a block of columns draws just
+    those restarts."""
+
+    master_seed: int
+    n: int
+    dim: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.dim - 1, self.n
+
+    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
+        lo, hi, _ = key[1].indices(self.n)
+        return _start_phases(self.master_seed, lo, hi, self.dim)
+
+
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a batch of symmetric positive definite systems a x = b laid out
     component-major: a is (n, n, m), of which only the lower triangle is read,
@@ -207,20 +229,26 @@ def _damped_step(
 
 
 def _solve_phases(
-    phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float
+    phases, h_conj: np.ndarray, max_iters: int, stop: float, width: int = _WIDTH
 ) -> np.ndarray:
     """Batched Levenberg-Marquardt on the free phases phi_1..phi_{d-1} of
     u = e^{i phi} / sqrt(d) (phi_0 = 0), driving |(H^dagger u)_j|^2 to 1/d.
 
-    phases is (d - 1, n) and the returned u is (d, n), one column per restart.
-    The d residuals sum to zero, so the system is square. Each restart keeps
-    the phases, u, the overlaps w, the deviations r and the residual f of its
-    current point, replaced from accepted trials, so an iteration evaluates
-    only its trial. A restart stops on its own once its residual is <= stop or
-    its damping passes _DAMPING_CAP, and every update is elementwise over the
-    restarts, so trajectories are identical no matter how they are chunked.
+    phases holds the (d - 1, n) start phases and the returned u is (d, n), one
+    column per restart. phases is read a width-wide block of columns at a
+    time, as the batch needs them, so a _Starts can stand in for the array.
+    The d residuals sum to zero, so the system is square.
+
+    At most width restarts are live at once. Each keeps the phases, u, the
+    overlaps w, the deviations r and the residual f of its current point,
+    replaced from accepted trials, so an iteration evaluates only its trial.
+    A restart retires once its residual is <= stop, its damping passes
+    _DAMPING_CAP or it has taken max_iters steps, and its column is refilled
+    with the next pending restart. Every update is elementwise over the
+    restarts, so trajectories are identical whatever the width.
     """
-    d = len(phases) + 1
+    d = len(h_conj)
+    n = phases.shape[1]
     target = 1.0 / d
 
     def evaluate(phi: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -232,18 +260,40 @@ def _solve_phases(
         f, r = _residual(w, target)
         return phi, u, w, r, f
 
-    state = evaluate(phases.copy())
-    rows = np.arange(phases.shape[1])
-    damping = np.full(rows.size, _DAMPING)
-    out = np.empty((d, rows.size), dtype=complex)
-    for _ in range(max_iters):
-        live = (state[4] > stop) & (damping < _DAMPING_CAP)
+    drawn = min(width, n)
+    state = evaluate(phases[:, :drawn].copy())
+    pending = state[0][:, :0]
+    rows = np.arange(drawn)
+    damping = np.full(drawn, _DAMPING)
+    steps = np.zeros(drawn, dtype=int)
+    out = np.empty((d, n), dtype=complex)
+    while rows.size:
+        live = (state[4] > stop) & (damping < _DAMPING_CAP) & (steps < max_iters)
         if not live.all():
-            out[:, rows[~live]] = state[1][:, ~live]
-            rows, damping = rows[live], damping[live]
-            state = tuple(x[..., live] for x in state)
-        if rows.size == 0:
-            break
+            dead = np.flatnonzero(~live)
+            out[:, rows[dead]] = state[1][:, dead]
+            # Refill the first k retired columns with the next pending restarts,
+            # drawing the next block of starts when those drawn run out.
+            admitted = drawn - pending.shape[1]
+            k = min(dead.size, n - admitted)
+            if k > pending.shape[1]:
+                hi = min(drawn + width, n)
+                pending = np.concatenate([pending, phases[:, drawn:hi]], axis=1)
+                drawn = hi
+            slots = dead[:k]
+            for old, new in zip(state, evaluate(pending[:, :k])):
+                old[..., slots] = new
+            pending = pending[:, k:]
+            rows[slots] = np.arange(admitted, admitted + k)
+            damping[slots] = _DAMPING
+            steps[slots] = 0
+            if k < dead.size:
+                keep = np.ones(rows.size, dtype=bool)
+                keep[dead[k:]] = False
+                rows, damping, steps = rows[keep], damping[keep], steps[keep]
+                state = tuple(x[..., keep] for x in state)
+            # A refilled restart may already be done: check again before stepping.
+            continue
         phi, u, w, r, f = state
         step = _damped_step(h_conj, u, w, r, damping)
         # A restart whose factorisation failed keeps its phases: a failed step.
@@ -253,7 +303,7 @@ def _solve_phases(
         for old, new in zip(state, trial):
             np.copyto(old, new, where=better)
         damping *= np.where(better, 0.1, 10.0)
-    out[:, rows] = state[1]
+        steps += 1
     return out
 
 
@@ -311,7 +361,7 @@ def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarr
     return np.array(centers, dtype=int), reps, np.bincount(owner)
 
 
-def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVectorSet:
+def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MUVectorSet:
     """Collect, gauge-fix and cluster all vectors found MU to a pair.
 
     Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
@@ -328,18 +378,22 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = 4096) -> MUVe
     basis_conj = pair.basis_vectors().conj()
     target = 1.0 / d
 
-    found = []
+    starts = _Starts(cfg.master_seed, cfg.restarts, d)
+    found = _solve_phases(starts, h_conj, MAX_ITERS, RESIDUAL_TOL, _chunk)
+    # Pull back, residual and recheck a chunk at a time, moving the accepted
+    # rows to the front of the solver's output.
+    res = np.empty(cfg.restarts)
+    kept = 0
     for lo in range(0, cfg.restarts, _chunk):
-        hi = min(lo + _chunk, cfg.restarts)
-        phases = _start_phases(cfg.master_seed, lo, hi, d)
-        v = _overlaps(_solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL), a.T)
+        v = _overlaps(found[:, lo : lo + _chunk], a.T)
         f, _ = _residual(_overlaps(v, basis_conj), target)
-        v = v.T
         keep = f <= RESIDUAL_TOL
-        keep[keep] = _recheck(v[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
-        found.append((v[keep], f[keep]))
-    vecs, res = (np.concatenate(parts) for parts in zip(*found))
-    vecs = _gauge_fix(vecs)
+        keep[keep] = _recheck(v.T[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
+        k = np.count_nonzero(keep)
+        found[:, kept : kept + k] = v[:, keep]
+        res[kept : kept + k] = f[keep]
+        kept += k
+    vecs = _gauge_fix(found[:, :kept].T)
     # Canonical merge order: sort by rounded components so clustering is
     # independent of restart and batch order.
     order = np.lexsort(np.round(np.concatenate([vecs.real, vecs.imag], axis=1), 9).T[::-1])
