@@ -21,7 +21,7 @@ _DAMPING_CAP = 1e12
 # The most restarts the solver keeps live at once.
 _WIDTH = 4096
 
-# MAX_ITERS caps the Levenberg-Marquardt iterations of each restart;
+# MAX_ITERS caps the Levenberg-Marquardt steps each restart takes;
 # RESIDUAL_TOL is both where a restart stops and what it must reach to be
 # accepted; CLUSTER_TOL is the Euclidean radius of a cluster. find_mu_vectors
 # reads them when it runs.
@@ -228,6 +228,26 @@ def _damped_step(
     return _spd_solve(jtj, _sum_rows(jac * r[:, None]))
 
 
+def _cayley(u: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """u with each free component u_k (k >= 1) turned by the Cayley factor
+    (1 - i s/2) / (1 + i s/2) of its step s, in real arithmetic.
+
+    The factor has unit modulus and is exactly 1 at s = 0, so a zero step
+    leaves u unchanged bit for bit. It turns the phase by -2 atan(s/2), which
+    agrees with the step -s to second order, and needs no trigonometric call.
+    """
+    sq = 0.25 * step * step
+    den = 1.0 + sq
+    cos = (1.0 - sq) / den
+    sin = step / den
+    re, im = u[1:].real, u[1:].imag
+    out = np.empty_like(u)
+    out[0] = u[0]
+    out[1:].real = re * cos + im * sin
+    out[1:].imag = im * cos - re * sin
+    return out
+
+
 def _solve_phases(
     phases, h_conj: np.ndarray, max_iters: int, stop: float, width: int = _WIDTH
 ) -> np.ndarray:
@@ -239,39 +259,44 @@ def _solve_phases(
     time, as the batch needs them, so a _Starts can stand in for the array.
     The d residuals sum to zero, so the system is square.
 
-    At most width restarts are live at once. Each keeps the phases, u, the
-    overlaps w, the deviations r and the residual f of its current point,
-    replaced from accepted trials, so an iteration evaluates only its trial.
-    A restart retires once its residual is <= stop, its damping passes
-    _DAMPING_CAP or it has taken max_iters steps, and its column is refilled
-    with the next pending restart. Every update is elementwise over the
-    restarts, so trajectories are identical whatever the width.
+    At most width restarts are live at once. Each keeps u, the overlaps w,
+    the deviations r and the residual f of its current point, replaced from
+    accepted trials, so an iteration evaluates only its trial. A trial turns
+    the phases of u by the LM step through _cayley, so u is built from the
+    start phases once. A restart retires once its residual is <= stop, its
+    damping passes _DAMPING_CAP or it has taken max_iters steps, and its
+    column is refilled with the next pending restart. Every update is
+    elementwise over the restarts, so trajectories are identical whatever the
+    width.
     """
     d = len(h_conj)
     n = phases.shape[1]
     target = 1.0 / d
 
-    def evaluate(phi: np.ndarray) -> tuple[np.ndarray, ...]:
+    def evaluate(u: np.ndarray) -> tuple[np.ndarray, ...]:
+        w = _overlaps(u, h_conj)
+        f, r = _residual(w, target)
+        return u, w, r, f
+
+    def start(phi: np.ndarray) -> tuple[np.ndarray, ...]:
         u = np.empty((d, phi.shape[1]), dtype=complex)
         u[0] = 1.0 / math.sqrt(d)
         np.exp(1j * phi, out=u[1:])
         u[1:] /= math.sqrt(d)
-        w = _overlaps(u, h_conj)
-        f, r = _residual(w, target)
-        return phi, u, w, r, f
+        return evaluate(u)
 
     drawn = min(width, n)
-    state = evaluate(phases[:, :drawn].copy())
-    pending = state[0][:, :0]
+    state = start(phases[:, :drawn])
+    pending = np.empty((d - 1, 0))
     rows = np.arange(drawn)
     damping = np.full(drawn, _DAMPING)
     steps = np.zeros(drawn, dtype=int)
     out = np.empty((d, n), dtype=complex)
     while rows.size:
-        live = (state[4] > stop) & (damping < _DAMPING_CAP) & (steps < max_iters)
+        live = (state[3] > stop) & (damping < _DAMPING_CAP) & (steps < max_iters)
         if not live.all():
             dead = np.flatnonzero(~live)
-            out[:, rows[dead]] = state[1][:, dead]
+            out[:, rows[dead]] = state[0][:, dead]
             # Refill the first k retired columns with the next pending restarts,
             # drawing the next block of starts when those drawn run out.
             admitted = drawn - pending.shape[1]
@@ -281,7 +306,7 @@ def _solve_phases(
                 pending = np.concatenate([pending, phases[:, drawn:hi]], axis=1)
                 drawn = hi
             slots = dead[:k]
-            for old, new in zip(state, evaluate(pending[:, :k])):
+            for old, new in zip(state, start(pending[:, :k])):
                 old[..., slots] = new
             pending = pending[:, k:]
             rows[slots] = np.arange(admitted, admitted + k)
@@ -294,12 +319,12 @@ def _solve_phases(
                 state = tuple(x[..., keep] for x in state)
             # A refilled restart may already be done: check again before stepping.
             continue
-        phi, u, w, r, f = state
+        u, w, r, f = state
         step = _damped_step(h_conj, u, w, r, damping)
-        # A restart whose factorisation failed keeps its phases: a failed step.
+        # A restart whose factorisation failed keeps its point: a failed step.
         step[:, ~np.isfinite(step).all(axis=0)] = 0.0
-        trial = evaluate(phi - step)
-        better = trial[4] < f
+        trial = evaluate(_cayley(u, step))
+        better = trial[3] < f
         for old, new in zip(state, trial):
             np.copyto(old, new, where=better)
         damping *= np.where(better, 0.1, 10.0)

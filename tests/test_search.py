@@ -16,10 +16,13 @@ from mub6 import (
     make_family_pair,
     mu_residual,
     orthogonality_graph,
+    reduce_P2,
     same_basis_up_to_phase,
 )
 from mub6 import search
 from mub6.search import (
+    _Starts,
+    _cayley,
     _cluster,
     _gauge_fix,
     _recheck,
@@ -279,11 +282,7 @@ def test_one_restart_batches_match_full_batches():
     # terms (d = 8 deviations, 2d = 12 overlaps) are where np.sum switches to
     # pairwise summation for a one-column batch.
     runs = [(pair, 60, 2000) for pair in pairs_d3()]
-    fourier8 = np.exp(2j * np.pi * np.outer(range(8), range(8)) / 8) / np.sqrt(8)
-    runs += [
-        (make_family_pair("P0"), 30, 2000),
-        (MUPair(Basis(np.eye(8, dtype=complex)), Basis(fourier8)), 12, 40),
-    ]
+    runs += [(make_family_pair("P0"), 30, 2000), (_fourier8_pair(), 12, 40)]
     for pair, n, max_iters in runs:
         h_conj = _h_conj(pair)
         phases = _start_phases(4, 0, n, pair.dim)
@@ -300,6 +299,59 @@ def test_one_restart_batches_match_full_batches():
     b = find_mu_vectors(make_family_pair("P0"), cfg, _chunk=1)
     assert (a.hits, a.residuals) == (b.hits, b.residuals)
     assert all(np.array_equal(u, v) for u, v in zip(a.vectors, b.vectors))
+
+
+def _fourier8_pair():
+    fourier8 = np.exp(2j * np.pi * np.outer(range(8), range(8)) / 8) / np.sqrt(8)
+    return MUPair(Basis(np.eye(8, dtype=complex)), Basis(fourier8))
+
+
+def test_solve_phases_width_does_not_change_bits():
+    # Narrow batches retire and refill columns at other iterations and in
+    # other places than one batch that holds every restart; a _Starts draws
+    # the same start phases a block at a time.
+    runs = [(pair, 60, 2000) for pair in pairs_d3()]
+    runs += [(make_family_pair("P0"), 30, 2000), (_fourier8_pair(), 12, 40)]
+    for pair, n, max_iters in runs:
+        h_conj = _h_conj(pair)
+        phases = _start_phases(4, 0, n, pair.dim)
+        full = _solve_phases(phases, h_conj, max_iters, 1e-20, width=n)
+        for width in (1, 7):
+            assert np.array_equal(_solve_phases(phases, h_conj, max_iters, 1e-20, width), full)
+        lazy = _solve_phases(_Starts(4, n, pair.dim), h_conj, max_iters, 1e-20, width=7)
+        assert np.array_equal(lazy, full)
+
+
+def test_refilled_restart_takes_max_iters_steps(monkeypatch):
+    h_conj = _h_conj(pair_zx_d3())
+    phases = _start_phases(0, 0, 3, 3)
+    starts = _solve_phases(phases, h_conj, 0, 1e-20)
+    calls = []
+
+    def always_fails(a, b):
+        calls.append(b.shape[1])
+        return np.full_like(b, np.nan)
+
+    monkeypatch.setattr(search, "_spd_solve", always_fails)
+    # Five failed steps leave the damping far below the cap, so every
+    # restart retires on its own step count, including those admitted late.
+    assert np.array_equal(_solve_phases(phases, h_conj, 5, 1e-20, width=1), starts)
+    assert calls == [1] * 15
+    calls.clear()
+    # Two columns retire together; restart 2 refills one, the other is dropped.
+    _solve_phases(phases, h_conj, 5, 1e-20, width=2)
+    assert calls == [2] * 5 + [1] * 5
+
+
+def test_cayley_update_keeps_u_flat():
+    pair, _ = reduce_P2()
+    h_conj = _h_conj(pair)
+    u = _solve_phases(_start_phases(0, 0, 2000, 6), h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
+    assert np.abs(np.abs(u) - 1 / math.sqrt(6)).max() <= 1e-15
+    assert np.array_equal(_cayley(u, np.zeros((5, 2000))), u)
+    vecset = find_mu_vectors(pair, SearchConfig(restarts=2000, master_seed=0))
+    assert len(vecset) == 90
+    assert sum(vecset.hits) == 2000
 
 
 def test_gauge_fix_matches_per_row_formula():
