@@ -8,6 +8,7 @@ bit-exactly.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -15,8 +16,10 @@ from .bases import Basis, MUPair
 from .equivalence import TransformScript
 from .errors import FormatError
 from .families import FAMILY_IDS, FamilyParams
-from .linalg import format_matrix, parse_matrix
+from .linalg import _quote, format_matrix, parse_matrix
 from .search import ExtensionResult, MUVectorSet, OrthoGraph
+
+_PARAM_NAMES = tuple(f.name for f in fields(FamilyParams))
 
 
 def pair_to_dict(pair: MUPair) -> dict:
@@ -45,14 +48,19 @@ def pair_from_dict(data: dict) -> MUPair:
     first, second = (parse_matrix(text) for text in texts)
     family = data.get("family")
     if family is not None and family not in FAMILY_IDS:
-        raise FormatError(f"pair JSON has family {family!r}, expected one of {FAMILY_IDS} or null")
+        raise FormatError(f"pair JSON has family {_quote(str(family))}, expected one of {FAMILY_IDS} or null")
     raw = data.get("params")
     if raw is not None and not isinstance(raw, dict):
         raise FormatError("pair JSON 'params' must be an object or null")
-    try:
-        params = None if raw is None else FamilyParams(**{k: float(v) for k, v in raw.items()})
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"pair JSON 'params' must map names to numbers ({exc})") from exc
+    values = {}
+    for name, value in (raw or {}).items():
+        if name not in _PARAM_NAMES:
+            raise FormatError(f"pair JSON 'params' has name {_quote(name)}, expected one of {_PARAM_NAMES}")
+        try:
+            values[name] = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"pair JSON 'params' {name!r} must be a float, got {_quote(str(value))}") from exc
+    params = None if raw is None else FamilyParams(**values)
     return MUPair(Basis(first), Basis(second), family=family, params=params)
 
 

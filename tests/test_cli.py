@@ -247,10 +247,14 @@ def test_pair_json_round_trip_matches_memory(tmp_path, capsys):
         {"second": None},
         {"first": ["6 6"]},
         {"params": {"xi": 10**400}},
+        {"family": "P9" * 100_000},
+        {"params": {"xi": "x" * 200_000}},
+        {"params": {"x" * 200_000: 1.0}},
     ],
     ids=[
         "unknown-param", "non-numeric-param", "params-string", "params-list", "family-P9",
         "first-number", "second-null", "first-list", "param-too-large",
+        "long-family", "long-param-value", "long-param-name",
     ],
 )
 def test_verify_rejects_malformed_pair_metadata(tmp_path, capsys, patch):
@@ -264,6 +268,8 @@ def test_verify_rejects_malformed_pair_metadata(tmp_path, capsys, patch):
     payload = json.loads(err)
     assert payload["error"] == "FormatError"
     assert payload["message"]
+    # Offending values are quoted in part, however long they are.
+    assert len(err) < 300
 
 
 def _drop_vector(clusters):
