@@ -28,49 +28,6 @@ from .search import SearchConfig, find_extension_basis, orthogonality_graph
 _PARAM_FLAGS = ("xi", "eta", "zeta", "chi", "sigma", "tau")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mub6",
-        description="Mutually unbiased product-basis pairs in dimension six.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_family_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", required=True, choices=["P0", "P1", "P2", "P3"])
-        for name in _PARAM_FLAGS:
-            p.add_argument(f"--{name}", type=float, default=None)
-
-    p_construct = sub.add_parser("construct", help="build a family pair as JSON")
-    add_family_flags(p_construct)
-    p_construct.add_argument("--out", default=None, help="output file (default stdout)")
-
-    p_verify = sub.add_parser("verify", help="check the MU condition of a pair file")
-    p_verify.add_argument("--pair", required=True)
-
-    p_reduce = sub.add_parser("reduce", help="reduce a family pair to standard form")
-    add_family_flags(p_reduce)
-    p_reduce.add_argument("--out", "--emit-pair", dest="out", default=None)
-    p_reduce.add_argument("--emit-script", default=None)
-
-    p_fp = sub.add_parser("fingerprint", help="Haagerup fingerprint of a Hadamard")
-    source = p_fp.add_mutually_exclusive_group(required=True)
-    source.add_argument("--matrix", help="matrix text file")
-    source.add_argument("--pair", help="pair JSON file")
-    p_fp.add_argument("--member", default="second", choices=["first", "second"])
-
-    p_search = sub.add_parser("search-extend", help="search vectors/bases MU to a pair")
-    p_search.add_argument("--pair", required=True)
-    p_search.add_argument("--restarts", type=int, default=20000)
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("--out", default=None)
-
-    p_graph = sub.add_parser("ortho-graph", help="orthogonality graph of a vector set")
-    p_graph.add_argument("--vectors", required=True, help="search-extend output JSON")
-    p_graph.add_argument("--out", default=None)
-
-    return parser
-
-
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -166,32 +123,97 @@ def _cmd_ortho_graph(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "verify": _cmd_verify,
-    "reduce": _cmd_reduce,
-    "fingerprint": _cmd_fingerprint,
-    "search-extend": _cmd_search_extend,
-    "ortho-graph": _cmd_ortho_graph,
+def _family_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--family", required=True, choices=["P0", "P1", "P2", "P3"])
+    for name in _PARAM_FLAGS:
+        p.add_argument(f"--{name}", type=float, default=None)
+
+
+def _construct_args(p: argparse.ArgumentParser) -> None:
+    _family_args(p)
+    p.add_argument("--out", default=None, help="output file (default stdout)")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pair", required=True)
+
+
+def _reduce_args(p: argparse.ArgumentParser) -> None:
+    _family_args(p)
+    p.add_argument("--out", "--emit-pair", dest="out", default=None)
+    p.add_argument("--emit-script", default=None)
+
+
+def _fingerprint_args(p: argparse.ArgumentParser) -> None:
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", help="matrix text file")
+    source.add_argument("--pair", help="pair JSON file")
+    p.add_argument("--member", default="second", choices=["first", "second"])
+
+
+def _search_extend_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pair", required=True)
+    p.add_argument("--restarts", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+
+
+def _ortho_graph_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--vectors", required=True, help="search-extend output JSON")
+    p.add_argument("--out", default=None)
+
+
+# name -> (help, argument adder, handler), in the order `mub6 --help` lists them.
+_COMMANDS = {
+    "construct": ("build a family pair as JSON", _construct_args, _cmd_construct),
+    "verify": ("check the MU condition of a pair file", _verify_args, _cmd_verify),
+    "reduce": ("reduce a family pair to standard form", _reduce_args, _cmd_reduce),
+    "fingerprint": ("Haagerup fingerprint of a Hadamard", _fingerprint_args, _cmd_fingerprint),
+    "search-extend": ("search vectors/bases MU to a pair", _search_extend_args, _cmd_search_extend),
+    "ortho-graph": ("orthogonality graph of a vector set", _ortho_graph_args, _cmd_ortho_graph),
 }
 
 
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The mub6 parser with only `command`'s subparser when it names one, else
+    with all of them.
+
+    argparse lists the built subcommands in the top-level usage line, which it
+    prints with an unrecognized flag; a lone subcommand gets the full list as
+    its metavar. With all of them built the metavar stays unset, because
+    argparse would also put it in place of `command` in its error messages.
+    """
+    parser = argparse.ArgumentParser(
+        prog="mub6",
+        description="Mutually unbiased product-basis pairs in dimension six.",
+    )
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, _ = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except Mub6Error as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
-        sys.stderr.write(serialize.dump_json(error))
-        return 1
     except OSError as exc:
         error = {"error": "IOError", "message": str(exc)}
-        sys.stderr.write(serialize.dump_json(error))
-        return 1
+    except MemoryError as exc:
+        # numpy raises this for an array larger than the host can map, such
+        # as the solver's state for an enormous --restarts.
+        error = {"error": "MemoryError", "message": str(exc) or "out of memory"}
+    sys.stderr.write(serialize.dump_json(error))
+    return 1
 
 
 def main() -> None:

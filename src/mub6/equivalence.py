@@ -407,13 +407,16 @@ def haagerup_fingerprint(h) -> HadamardFingerprint:
         * mc[None, :, :, None]
     ) * (d * d)
     flat = products.reshape(-1)
-    keys = np.stack(
-        [np.rint(flat.real / quantum).astype(np.int64), np.rint(flat.imag / quantum).astype(np.int64)],
-        axis=1,
-    )
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
+    re = np.rint(flat.real / quantum).astype(np.int64)
+    im = np.rint(flat.imag / quantum).astype(np.int64)
+    # Group equal (re, im) keys in lexicographic order: sort, then cut the
+    # runs where either component changes.
+    order = np.lexsort((im, re))
+    re, im = re[order], im[order]
+    starts = np.flatnonzero(np.r_[True, (re[1:] != re[:-1]) | (im[1:] != im[:-1])])
+    counts = np.diff(np.r_[starts, re.size])
     classes = tuple(
-        ((int(re), int(im)), int(c)) for (re, im), c in zip(map(tuple, uniq), counts)
+        ((r, i), c) for r, i, c in zip(re[starts].tolist(), im[starts].tolist(), counts.tolist())
     )
     return HadamardFingerprint(quantum=quantum, classes=classes)
 

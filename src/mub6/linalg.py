@@ -66,7 +66,7 @@ def tensor_product(u, v) -> np.ndarray:
         raise DimensionError(
             f"tensor factors must have dimension 2 or 3, got {a.shape[0]} and {b.shape[0]}"
         )
-    return np.kron(a, b)
+    return np.multiply.outer(a, b).ravel()
 
 
 def is_unitary(m) -> bool:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mub6 import hw_eigenbasis, make_Ftilde, parse_matrix, format_matrix
-from mub6.cli import run
+from mub6.cli import _build_parser, run
 from mub6.serialize import dump_json, pair_to_dict, load_json
 from mub6.bases import Basis, MUPair
 
@@ -75,6 +75,76 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "fingerprint", "--matrix", "h.txt", "--pair", "p.json")
     assert code == 2
+
+
+_COMMAND_LIST = "{construct,verify,reduce,fingerprint,search-extend,ortho-graph}"
+
+_UNKNOWN_FLAG = [
+    ["construct", "--family", "P0", "--bogus", "1"],
+    ["verify", "--pair", "p.json", "--bogus", "1"],
+    ["reduce", "--family", "P0", "--bogus", "1"],
+    ["fingerprint", "--pair", "p.json", "--bogus", "1"],
+    ["search-extend", "--pair", "p.json", "--bogus", "1"],
+    ["ortho-graph", "--vectors", "v.json", "--bogus", "1"],
+]
+
+
+def _full_parser_result(capsys, argv):
+    """Exit code, stdout and stderr of a parser built with every subcommand."""
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return int(exc.value.code or 0), captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([command, "--help"] for command in _COMMAND_LIST.strip("{}").split(",")),
+        *_UNKNOWN_FLAG,
+        ["verify"],
+        ["construct", "--family", "P7"],
+        ["fingerprint"],
+        ["fingerprint", "--matrix", "h.txt", "--pair", "p.json"],
+        ["no-such-command"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_cli_text_matches_full_parser(capsys, argv):
+    # run() builds only the invoked command's subparser; what it prints must
+    # not tell.
+    expected = _full_parser_result(capsys, argv)
+    assert run_cli(capsys, *argv) == expected
+    code, out, err = expected
+    if argv and argv[-1] == "--help":
+        assert code == 0 and out.startswith("usage: mub6") and err == ""
+    else:
+        assert code == 2 and out == "" and "error:" in err
+    if argv in _UNKNOWN_FLAG:
+        assert "unrecognized arguments: --bogus 1" in err
+        assert _COMMAND_LIST in err
+    # argparse names the positional by its metavar when one is set; with
+    # every subcommand built it stays `command`.
+    if argv == []:
+        assert err.endswith("error: the following arguments are required: command\n")
+    if argv == ["no-such-command"]:
+        assert "error: argument command: invalid choice: 'no-such-command'" in err
+
+
+def test_search_extend_reports_memory_error(tmp_path, capsys):
+    # The solver's state for 10^15 restarts fits no address space, so this
+    # fails at allocation and never runs the search.
+    pair_file = tmp_path / "s6.json"
+    assert run_cli(capsys, "reduce", "--family", "P2", "--out", str(pair_file))[0] == 0
+    code, out, err = run_cli(
+        capsys, "search-extend", "--pair", str(pair_file), "--restarts", str(10**15)
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "MemoryError"
+    assert payload["message"]
 
 
 def test_verify_rejects_non_mu_pair(tmp_path, capsys):

@@ -6,6 +6,7 @@ from mub6 import (
     Basis,
     FamilyParams,
     FormatError,
+    HadamardFingerprint,
     InvalidMoveError,
     Move,
     MUPair,
@@ -252,6 +253,56 @@ def test_fingerprint_invariance_under_random_moves():
 def test_fingerprint_transpose_invariant():
     h = make_Ftilde(0.9, 4.4)
     assert haagerup_fingerprint(h) == haagerup_fingerprint(h.T)
+
+
+def _reference_classes(h):
+    """Fingerprint classes grouped by np.unique over (re, im) key rows."""
+    quantum = 1e-8
+    m = np.asarray(h, dtype=complex)
+    d = m.shape[0]
+    mc = m.conj()
+    products = (
+        m[:, None, :, None]
+        * m[None, :, None, :]
+        * mc[:, None, None, :]
+        * mc[None, :, :, None]
+    ) * (d * d)
+    flat = products.reshape(-1)
+    keys = np.stack(
+        [np.rint(flat.real / quantum).astype(np.int64), np.rint(flat.imag / quantum).astype(np.int64)],
+        axis=1,
+    )
+    uniq, counts = np.unique(keys, axis=0, return_counts=True)
+    return tuple(((int(re), int(im)), int(c)) for (re, im), c in zip(map(tuple, uniq), counts))
+
+
+def test_fingerprint_grouping_matches_unique_rows():
+    p1 = FamilyParams(xi=0.7, eta=1.3)
+    p3 = FamilyParams(zeta=0.4, chi=1.1, sigma=0.9, tau=2.0)
+    members = (("P0", None), ("P1", p1), ("P2", None), ("P3", p3))
+    bases = [make_family_pair(f, p).second.matrix for f, p in members]
+    bases.append(reduce_P2()[0].second.matrix)
+    rng = np.random.default_rng(8)
+    copies = []
+    for i in range(20):
+        h = bases[i % len(bases)][rng.permutation(6)][:, rng.permutation(6)]
+        rows, cols = np.exp(1j * rng.uniform(0, 2 * np.pi, (2, 6)))
+        copies.append(rows[:, None] * h * cols)
+    for h in bases + copies:
+        fp = haagerup_fingerprint(h)
+        assert fp.classes == _reference_classes(h)
+        assert fp.digest() == HadamardFingerprint(fp.quantum, _reference_classes(h)).digest()
+
+
+def test_fingerprint_class_order_breaks_ties_on_imaginary_part():
+    # omega and omega^2 share their real key, so im decides their order.
+    fp = haagerup_fingerprint(hw_eigenbasis(3, "x").matrix)
+    assert fp.classes == (
+        ((-50000000, -86602540), 18),
+        ((-50000000, 86602540), 18),
+        ((100000000, 0), 45),
+    )
+    assert fp.classes == _reference_classes(hw_eigenbasis(3, "x").matrix)
 
 
 def test_fingerprint_rejects_non_hadamard():

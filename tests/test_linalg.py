@@ -50,6 +50,15 @@ def test_tensor_product_preserves_inner_products():
         assert abs(lhs - rhs) <= EQ_TOL
 
 
+def test_tensor_product_matches_kron_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for m, n in ((2, 3), (3, 2), (2, 2), (3, 3)):
+        for _ in range(10):
+            a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert tensor_product(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
 def test_is_unitary():
     assert is_unitary(np.eye(4))
     f3 = hw_eigenbasis(3, "x").matrix
