@@ -28,7 +28,6 @@ from .equivalence import (
     reduce_P1,
     reduce_P2,
     reduce_P3,
-    restore_first_moves,
 )
 from .errors import (
     DimensionError,

@@ -173,8 +173,6 @@ def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, 
         if not is_unitary(move.matrix):
             raise InvalidMoveError("left-unitary payload is not unitary within EQ_TOL")
         return move.matrix @ m1, move.matrix @ m2
-    if kind == "transpose-both":
-        return m1.T.copy(), m2.T.copy()
     if kind == "conjugate-both":
         return m1.conj(), m2.conj()
     if kind == "swap-members":
@@ -234,7 +232,7 @@ def dephase(h) -> tuple[np.ndarray, TransformScript]:
     return m2, script
 
 
-def restore_first_moves(m1: np.ndarray) -> list[Move]:
+def _restore_first_moves(m1: np.ndarray) -> list[Move]:
     """Column moves turning a monomial first member back into the identity.
 
     The member must equal the identity basis up to column order and phases;
@@ -351,7 +349,7 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
             m1, m2 = _apply_raw(m1, m2, mv)
         return m1, m2
 
-    moves.extend(restore_first_moves(current(moves)[0]))
+    moves.extend(_restore_first_moves(current(moves)[0]))
     moves.append(Move.permute_rows((0, 2, 1, 3, 4, 5)))
     moves.append(Move.permute_rows((0, 1, 2, 4, 3, 5)))
     moves.append(Move.permute_cols("second", (0, 5, 2, 3, 4, 1)))
@@ -359,7 +357,7 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
     moves.append(Move.permute_cols("second", (0, 1, 2, 4, 3, 5)))
     w2_angle = float(np.angle(OMEGA2))
     moves.append(Move.left_diag_phase((0.0, 0.0, 0.0, w2_angle, 0.0, w2_angle)))
-    moves.extend(restore_first_moves(current(moves)[0]))
+    moves.extend(_restore_first_moves(current(moves)[0]))
 
     script = TransformScript(tuple(moves))
     out = apply_script(pair, script)

@@ -140,38 +140,17 @@ def _recheck(v: np.ndarray, basis_conj: np.ndarray, target: float) -> np.ndarray
     return sum(devs.T * devs.T)
 
 
-def _start_phases(master_seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
-    """Free start phases phi_1..phi_{d-1} of restarts lo..hi-1 as a
-    (dim - 1, hi - lo) array, one column per restart (phi_0 is pinned to 0).
+def _start_phases(master_seed: int, n: int, dim: int) -> np.ndarray:
+    """Free start phases phi_1..phi_{d-1} of restarts 0..n-1 as a
+    (dim - 1, n) array, one column per restart (phi_0 is pinned to 0).
 
     Each restart reads ceil((d - 1) / 4) counter blocks of four doubles,
     restart k the k-th such run, of one Philox stream keyed by master_seed,
     so it depends only on (master_seed, k).
     """
     blocks = -(-(dim - 1) // 4)
-    bitgen = np.random.Philox(key=master_seed)
-    bitgen.advance(lo * blocks)
-    draws = np.random.Generator(bitgen).random((hi - lo, 4 * blocks))
+    draws = np.random.Generator(np.random.Philox(key=master_seed)).random((n, 4 * blocks))
     return 2.0 * np.pi * draws[:, : dim - 1].T
-
-
-@dataclass(frozen=True)
-class _Starts:
-    """The (d - 1, n) start phases of restarts 0..n-1 of a seeded search, in
-    place of _start_phases's array: slicing a block of columns draws just
-    those restarts."""
-
-    master_seed: int
-    n: int
-    dim: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.dim - 1, self.n
-
-    def __getitem__(self, key: tuple[slice, slice]) -> np.ndarray:
-        lo, hi, _ = key[1].indices(self.n)
-        return _start_phases(self.master_seed, lo, hi, self.dim)
 
 
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -249,15 +228,13 @@ def _cayley(u: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 
 def _solve_phases(
-    phases, h_conj: np.ndarray, max_iters: int, stop: float, width: int = _WIDTH
+    phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float, width: int = _WIDTH
 ) -> np.ndarray:
     """Batched Levenberg-Marquardt on the free phases phi_1..phi_{d-1} of
     u = e^{i phi} / sqrt(d) (phi_0 = 0), driving |(H^dagger u)_j|^2 to 1/d.
 
     phases holds the (d - 1, n) start phases and the returned u is (d, n), one
-    column per restart. phases is read a width-wide block of columns at a
-    time, as the batch needs them, so a _Starts can stand in for the array.
-    The d residuals sum to zero, so the system is square.
+    column per restart. The d residuals sum to zero, so the system is square.
 
     At most width restarts are live at once. Each keeps u, the overlaps w,
     the deviations r and the residual f of its current point, replaced from
@@ -285,31 +262,24 @@ def _solve_phases(
         u[1:] /= math.sqrt(d)
         return evaluate(u)
 
-    drawn = min(width, n)
-    state = start(phases[:, :drawn])
-    pending = np.empty((d - 1, 0))
-    rows = np.arange(drawn)
-    damping = np.full(drawn, _DAMPING)
-    steps = np.zeros(drawn, dtype=int)
+    admitted = min(width, n)
+    state = start(phases[:, :admitted])
+    rows = np.arange(admitted)
+    damping = np.full(admitted, _DAMPING)
+    steps = np.zeros(admitted, dtype=int)
     out = np.empty((d, n), dtype=complex)
     while rows.size:
         live = (state[3] > stop) & (damping < _DAMPING_CAP) & (steps < max_iters)
         if not live.all():
             dead = np.flatnonzero(~live)
             out[:, rows[dead]] = state[0][:, dead]
-            # Refill the first k retired columns with the next pending restarts,
-            # drawing the next block of starts when those drawn run out.
-            admitted = drawn - pending.shape[1]
+            # Refill the first k retired columns with the next pending restarts.
             k = min(dead.size, n - admitted)
-            if k > pending.shape[1]:
-                hi = min(drawn + width, n)
-                pending = np.concatenate([pending, phases[:, drawn:hi]], axis=1)
-                drawn = hi
             slots = dead[:k]
-            for old, new in zip(state, start(pending[:, :k])):
+            for old, new in zip(state, start(phases[:, admitted : admitted + k])):
                 old[..., slots] = new
-            pending = pending[:, k:]
             rows[slots] = np.arange(admitted, admitted + k)
+            admitted += k
             damping[slots] = _DAMPING
             steps[slots] = 0
             if k < dead.size:
@@ -403,8 +373,13 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     basis_conj = pair.basis_vectors().conj()
     target = 1.0 / d
 
-    starts = _Starts(cfg.master_seed, cfg.restarts, d)
-    found = _solve_phases(starts, h_conj, MAX_ITERS, RESIDUAL_TOL, _chunk)
+    # numpy raises ValueError, not MemoryError, for an array whose size in
+    # bytes its index type cannot hold; the (d, restarts) complex solver
+    # output is the largest array of the search.
+    if d * cfg.restarts * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"{cfg.restarts} restarts need more memory than numpy can address")
+    phases = _start_phases(cfg.master_seed, cfg.restarts, d)
+    found = _solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL, _chunk)
     # Pull back, residual and recheck a chunk at a time, moving the accepted
     # rows to the front of the solver's output.
     res = np.empty(cfg.restarts)

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -135,16 +136,18 @@ def test_cli_text_matches_full_parser(capsys, argv):
 
 def test_search_extend_reports_memory_error(tmp_path, capsys):
     # The solver's state for 10^15 restarts fits no address space, so this
-    # fails at allocation and never runs the search.
+    # fails at allocation and never runs the search; at 10^18 and 10^20 its
+    # size in bytes does not even fit numpy's index type.
     pair_file = tmp_path / "s6.json"
     assert run_cli(capsys, "reduce", "--family", "P2", "--out", str(pair_file))[0] == 0
-    code, out, err = run_cli(
-        capsys, "search-extend", "--pair", str(pair_file), "--restarts", str(10**15)
-    )
-    assert code == 1 and out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "MemoryError"
-    assert payload["message"]
+    for restarts in (10**15, 10**18, 10**20):
+        code, out, err = run_cli(
+            capsys, "search-extend", "--pair", str(pair_file), "--restarts", str(restarts)
+        )
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "MemoryError"
+        assert payload["message"]
 
 
 def test_verify_rejects_non_mu_pair(tmp_path, capsys):
@@ -362,7 +365,18 @@ def _too_large(clusters):
     clusters[0]["vector"][0] = [10**400, 0]
 
 
-@pytest.mark.parametrize("mutate", [_drop_vector, _ragged, _not_a_pair, _not_numbers, _too_large])
+def _huge_entry(clusters):
+    # Finite, but its square overflows: not a unit vector.
+    clusters[0]["vector"] = [[1e200, 0.0], [0.0, 0.0]]
+
+
+def _not_unit(clusters):
+    clusters[1]["vector"][0][0] *= 1.001
+
+
+@pytest.mark.parametrize(
+    "mutate", [_drop_vector, _ragged, _not_a_pair, _not_numbers, _too_large, _huge_entry, _not_unit]
+)
 def test_ortho_graph_rejects_malformed_clusters(tmp_path, capsys, mutate):
     pair = MUPair(hw_eigenbasis(2, "z"), hw_eigenbasis(2, "x"))
     pair_file = tmp_path / "pair2.json"
@@ -376,7 +390,9 @@ def test_ortho_graph_rejects_malformed_clusters(tmp_path, capsys, mutate):
     assert len(data["clusters"]) == 2
     mutate(data["clusters"])
     vectors_file.write_text(dump_json(data))
-    code, out, err = run_cli(capsys, "ortho-graph", "--vectors", str(vectors_file))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "ortho-graph", "--vectors", str(vectors_file))
     assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "FormatError"

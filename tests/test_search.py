@@ -21,7 +21,6 @@ from mub6 import (
 )
 from mub6 import search
 from mub6.search import (
-    _Starts,
     _cayley,
     _cluster,
     _gauge_fix,
@@ -245,7 +244,7 @@ def _h_conj(pair):
 
 def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
     h_conj = _h_conj(pair_zx_d3())
-    phases = _start_phases(0, 0, 8, 3)
+    phases = _start_phases(0, 8, 3)
     plain = _solve_phases(phases, h_conj, 200, 1e-20)
     calls = []
 
@@ -285,7 +284,7 @@ def test_one_restart_batches_match_full_batches():
     runs += [(make_family_pair("P0"), 30, 2000), (_fourier8_pair(), 12, 40)]
     for pair, n, max_iters in runs:
         h_conj = _h_conj(pair)
-        phases = _start_phases(4, 0, n, pair.dim)
+        phases = _start_phases(4, n, pair.dim)
         batch = _solve_phases(phases, h_conj, max_iters, 1e-20)
         alone = [_solve_phases(phases[:, k : k + 1], h_conj, max_iters, 1e-20) for k in range(n)]
         assert np.array_equal(batch, np.hstack(alone))
@@ -308,23 +307,31 @@ def _fourier8_pair():
 
 def test_solve_phases_width_does_not_change_bits():
     # Narrow batches retire and refill columns at other iterations and in
-    # other places than one batch that holds every restart; a _Starts draws
-    # the same start phases a block at a time.
+    # other places than one batch that holds every restart.
     runs = [(pair, 60, 2000) for pair in pairs_d3()]
     runs += [(make_family_pair("P0"), 30, 2000), (_fourier8_pair(), 12, 40)]
     for pair, n, max_iters in runs:
         h_conj = _h_conj(pair)
-        phases = _start_phases(4, 0, n, pair.dim)
+        phases = _start_phases(4, n, pair.dim)
         full = _solve_phases(phases, h_conj, max_iters, 1e-20, width=n)
         for width in (1, 7):
             assert np.array_equal(_solve_phases(phases, h_conj, max_iters, 1e-20, width), full)
-        lazy = _solve_phases(_Starts(4, n, pair.dim), h_conj, max_iters, 1e-20, width=7)
-        assert np.array_equal(lazy, full)
+
+
+@pytest.mark.parametrize("dim", [3, 6, 8, 9])
+def test_start_phases_of_fewer_restarts_are_a_prefix(dim):
+    # Restart k reads the k-th run of counter blocks whatever the budget, so
+    # its start phases depend only on (master_seed, k). Each restart reads one
+    # block of four doubles at d = 3 and two at d = 6, 8 and 9.
+    full = _start_phases(5, 50, dim)
+    assert full.shape == (dim - 1, 50)
+    for m in (1, 17, 49):
+        assert np.array_equal(_start_phases(5, m, dim), full[:, :m])
 
 
 def test_refilled_restart_takes_max_iters_steps(monkeypatch):
     h_conj = _h_conj(pair_zx_d3())
-    phases = _start_phases(0, 0, 3, 3)
+    phases = _start_phases(0, 3, 3)
     starts = _solve_phases(phases, h_conj, 0, 1e-20)
     calls = []
 
@@ -346,7 +353,7 @@ def test_refilled_restart_takes_max_iters_steps(monkeypatch):
 def test_cayley_update_keeps_u_flat():
     pair, _ = reduce_P2()
     h_conj = _h_conj(pair)
-    u = _solve_phases(_start_phases(0, 0, 2000, 6), h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
+    u = _solve_phases(_start_phases(0, 2000, 6), h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
     assert np.abs(np.abs(u) - 1 / math.sqrt(6)).max() <= 1e-15
     assert np.array_equal(_cayley(u, np.zeros((5, 2000))), u)
     vecset = find_mu_vectors(pair, SearchConfig(restarts=2000, master_seed=0))
