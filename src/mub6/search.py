@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import Basis, MUPair
-from .errors import DimensionError, ParameterRangeError
-from .linalg import ORTHO_TOL, as_vector
+from .errors import DimensionError, FormatError, ParameterRangeError
+from .linalg import EQ_TOL, ORTHO_TOL, as_vector
 
 # Levenberg-Marquardt damping: its starting value, and the value past which a
 # restart whose steps keep failing is given up as stalled.
@@ -23,7 +23,7 @@ _WIDTH = 4096
 
 # MAX_ITERS caps the Levenberg-Marquardt steps each restart takes;
 # RESIDUAL_TOL is both where a restart stops and what it must reach to be
-# accepted; CLUSTER_TOL is the Euclidean radius of a cluster. find_mu_vectors
+# accepted; CLUSTER_TOL is a cluster's radius up to phase. find_mu_vectors
 # reads them when it runs.
 MAX_ITERS = 2000
 RESIDUAL_TOL = 1e-20
@@ -303,53 +303,46 @@ def _solve_phases(
 
 
 def _gauge_fix(v: np.ndarray) -> np.ndarray:
-    """Make the first component of largest modulus of each row real positive.
+    """Make the first component of largest modulus of each row real positive,
+    the output convention of reported vectors (the clusters do not use it).
 
     Moduli are rounded before the argmax so that near-ties (exact for MU
-    vectors against the standard basis) resolve to the same index for every
-    member of a cluster. The pivot's modulus is np.hypot, as the scalar abs()
-    gives it; numpy's vectorised complex abs can differ in the last bit.
+    vectors against the standard basis) resolve to the first index. The pivot's
+    modulus is np.hypot, as the scalar abs() gives it; numpy's vectorised
+    complex abs can differ in the last bit.
     """
     pivot = v[np.arange(len(v)), np.argmax(np.round(np.abs(v), 6), axis=1)]
     return v * (pivot / np.hypot(pivot.real, pivot.imag)).conj()[:, None]
 
 
-def _distances(rows: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.abs(rows - vec[None, :]) ** 2, axis=1))
-
-
 def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
-    """Greedy clustering of the rows in order: row k joins the nearest center
-    created before it (the first on ties) if within radius, else becomes one.
+    """Leader clustering of unit vectors up to global phase, in column order.
 
-    Built a cluster at a time; a claimed row can move only to a later center
-    within 2 radius of its current one (triangle inequality), so only those
-    rows are measured again. Rows are first screened by a unit-norm projection
-    of their real and imaginary parts: a row 2 radius or more from the center
-    in it is farther than radius (Cauchy-Schwarz; the reach adds room for
-    rounding), so only the rest are measured at all. Returns the center rows,
-    the representative rows (best residual, the first on ties) and the hits
-    of each cluster.
+    vecs is (d, n), one vector per column. The first unclaimed column c becomes
+    a center and claims every unclaimed v whose phase-optimal distance
+    min_theta |c - e^{i theta} v| = sqrt(2 - 2 |<c|v>|) is below radius. Only
+    columns whose key |<x|v>|, for one fixed unit x, lies within radius of c's
+    (plus room for rounding) are measured: by Cauchy-Schwarz the keys differ
+    by at most that distance. Returns the center columns, the representative
+    columns (best residual, the first on ties) and each cluster's hits.
     """
-    owner = np.full(len(vecs), -1)
-    best = np.full(len(vecs), np.inf)
-    flat = np.concatenate([vecs.real, vecs.imag], axis=1)
-    weights = np.arange(1.0, flat.shape[1] + 1)
-    key = flat @ (weights / np.linalg.norm(weights))
-    reach = 2.0 * radius + 1e-12 * np.abs(flat).max(initial=0.0)
+    weights = np.arange(1.0, len(vecs) + 1)
+    key = np.abs(_overlaps(vecs, (weights / np.linalg.norm(weights))[:, None])[0])
+    order = np.argsort(key)
+    sorted_key = key[order]
+    # Room for overlap rounding (~1e-15), which moves distances by ~1e-15 / radius.
+    reach = math.sqrt(radius * radius + 1e-12)
+    owner = np.full(vecs.shape[1], -1)
     centers: list[int] = []
     c = 0
-    while c < len(vecs):
-        later = c + 1 + np.flatnonzero(np.abs(key[c + 1 :] - key[c]) < reach)
-        # Unclaimed rows (owner -1) and rows of centers near c are candidates.
-        near = np.append(_distances(vecs[centers], vecs[c]) < 3.0 * radius, True)
-        cand = later[near[owner[later]]]
-        dists = _distances(vecs[cand], vecs[c])
-        take = (dists < radius) & (dists < best[cand])
-        owner[cand[take]] = owner[c] = len(centers)
-        best[cand[take]] = dists[take]
+    while c < len(owner):
+        lo, hi = np.searchsorted(sorted_key, (key[c] - reach, key[c] + reach))
+        cand = order[lo:hi]
+        cand = cand[owner[cand] < 0]
+        overlap = np.abs(_overlaps(vecs[:, cand], vecs[:, c, None].conj())[0])
+        owner[cand[2.0 - 2.0 * overlap < radius * radius]] = owner[c] = len(centers)
         centers.append(c)
-        # The next center is the first unclaimed row after c (none: stop).
+        # The next center is the first unclaimed column after c (none: stop).
         c += 1 + np.argmax(np.append(owner[c + 1 :] < 0, True))
     by_cluster = np.lexsort((res, owner))
     reps = by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
@@ -357,15 +350,16 @@ def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarr
 
 
 def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MUVectorSet:
-    """Collect, gauge-fix and cluster all vectors found MU to a pair.
+    """Collect and cluster all vectors found MU to a pair.
 
     Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
     I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs cfg.restarts
     independent seeded solves for the d - 1 free phases, pulls each back as
     v = A u, keeps solutions with mu_residual <= RESIDUAL_TOL that also
-    pass an independently accumulated re-check, and greedily clusters the
-    survivors in canonical sorted order. Deterministic for a given
-    (pair, cfg); _chunk only controls batching and never the result.
+    pass an independently accumulated re-check, clusters the survivors up to
+    global phase in restart order, and lists the gauge-fixed representatives
+    by their rounded components. Deterministic for a given (pair, cfg);
+    _chunk only controls batching and never the result.
     """
     d = pair.dim
     a = pair.first.matrix
@@ -393,31 +387,35 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
         found[:, kept : kept + k] = v[:, keep]
         res[kept : kept + k] = f[keep]
         kept += k
-    vecs = _gauge_fix(found[:, :kept].T)
-    # Canonical merge order: sort by rounded components so clustering is
-    # independent of restart and batch order.
-    order = np.lexsort(np.round(np.concatenate([vecs.real, vecs.imag], axis=1), 9).T[::-1])
-    vecs, res = vecs[order], res[order]
+    vecs, res = found[:, :kept], res[:kept]
     centers, reps, hits = _cluster(vecs, res, CLUSTER_TOL)
 
     # A continuum of solutions shows up as centers packed close to the
     # clustering scale; flag it rather than trying to parameterize it.
-    center_vecs = vecs[centers]
+    center_vecs = vecs[:, centers].T
     dists_sq = np.maximum(2.0 - 2.0 * np.abs(center_vecs @ center_vecs.conj().T), 0.0)
     np.fill_diagonal(dists_sq, np.inf)
     manifold = bool(np.sqrt(dists_sq.min(initial=np.inf)) < 100.0 * CLUSTER_TOL)
 
-    out = vecs[reps]
+    out = _gauge_fix(vecs[:, reps].T)
+    order = np.lexsort(np.round(np.concatenate([out.real, out.imag], axis=1), 9).T[::-1])
+    out, reps = out[order], reps[order]
     out.setflags(write=False)
-    return MUVectorSet(pair, tuple(out), tuple(res[reps].tolist()), tuple(hits.tolist()), manifold)
+    return MUVectorSet(pair, tuple(out), tuple(res[reps].tolist()), tuple(hits[order].tolist()), manifold)
 
 
 def orthogonality_graph(vectors) -> OrthoGraph:
-    """Build the graph with edges exactly where |<u|v>| <= ORTHO_TOL."""
+    """Build the graph with edges exactly where |<u|v>| <= ORTHO_TOL, which
+    only means orthogonal for unit vectors: any other raises FormatError."""
     if isinstance(vectors, MUVectorSet):
         vecs = vectors.vectors
     else:
         vecs = tuple(as_vector(v) for v in vectors)
+        for k, vec in enumerate(vecs):
+            parts = np.abs(np.concatenate([vec.real, vec.imag]))
+            # Parts past 1 fail before they are squared, so the norm cannot overflow.
+            if not (parts <= 1.0 + EQ_TOL).all() or abs(np.sqrt(parts @ parts) - 1.0) > EQ_TOL:
+                raise FormatError(f"vector {k} does not have norm 1 within EQ_TOL")
     n = len(vecs)
     if n < 2:
         return OrthoGraph(n, (), None, None)

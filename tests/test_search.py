@@ -7,6 +7,7 @@ import pytest
 from mub6 import (
     Basis,
     DimensionError,
+    FormatError,
     MUPair,
     SearchConfig,
     find_extension_basis,
@@ -133,47 +134,58 @@ def test_soundness_recheck():
         assert mu_residual(vec, pair) <= 10 * 1e-20
 
 
-def _greedy_reference(vecs, res, tol):
-    """The per-vector greedy loop that _cluster batches: each row joins the
-    nearest existing center within tol (first on ties) or becomes a center;
+def _leader_reference(vecs, res, tol):
+    """The per-column loop that _cluster batches: each column joins the first
+    earlier center within tol up to global phase, measured as
+    min_theta |c - e^{i theta} v| by turning v onto c, or becomes a center;
     the representative moves to a strictly better residual."""
     centers, reps, hits = [], [], []
-    for k, vec in enumerate(vecs):
-        if centers:
-            dists = np.sqrt(np.sum(np.abs(vecs[centers] - vec[None, :]) ** 2, axis=1))
-            j = int(np.argmin(dists))
-            if dists[j] < tol:
+    for k, vec in enumerate(vecs.T):
+        for j, c in enumerate(centers):
+            ip = np.vdot(vec, vecs[:, c])
+            turned = vec * (ip / abs(ip)) if ip else vec
+            if np.linalg.norm(vecs[:, c] - turned) < tol:
                 hits[j] += 1
                 if res[k] < res[reps[j]]:
                     reps[j] = k
-                continue
-        centers.append(k)
-        reps.append(k)
-        hits.append(1)
+                break
+        else:
+            centers.append(k)
+            reps.append(k)
+            hits.append(1)
     return centers, reps, hits
 
 
-def test_cluster_joins_nearest_earlier_center():
-    # Centers 0 and 1 are 1.5 apart with tol 1: row 2 (0.9 from center 0,
-    # 0.6 from center 1) joins center 1, row 3 stays with center 0, and row 4,
-    # 0.75 from both, goes to the first. Row 5 sits before center 6 in order,
-    # so it keeps center 0 although center 6 is nearer.
-    vecs = np.array([[0, 0], [1.5, 0], [0.9, 0], [0.7, 0], [0.75, 0], [0, 0.9], [0, 1.5]], complex)
-    centers, reps, hits = _cluster(vecs, np.zeros(len(vecs)), 1.0)
-    assert centers.tolist() == [0, 1, 6]
-    assert hits.tolist() == [4, 2, 1]
-    assert reps.tolist() == [0, 1, 6]
+def _real_unit_columns(degrees, phases):
+    """Columns (cos a, sin a), each times e^{i phase}: the phase-optimal
+    distance of two of them is sqrt(2 - 2 |cos(a - b)|), below 1 exactly when
+    a and b differ by less than 60 degrees modulo 180."""
+    a = np.radians(degrees)
+    return np.array([np.cos(a), np.sin(a)]) * np.exp(1j * np.asarray(phases))
+
+
+def test_cluster_joins_first_center_within_radius():
+    # Columns 0 and 1 (0 and 70 degrees) are centers. Column 2 (40 degrees) is
+    # within radius 1 of both and joins the first, although column 1 is
+    # nearer. Columns 3 and 4 join column 0 only up to global phase: 10
+    # degrees turned by -i, and 175 degrees, which is -(-5 degrees). Column 5
+    # (110 degrees) is within radius of column 1 only.
+    vecs = _real_unit_columns([0, 70, 40, 10, 175, 110], [0, 0, 0, -np.pi / 2, 2.0, 0.5])
+    centers, reps, hits = _cluster(vecs, np.zeros(6), 1.0)
+    assert centers.tolist() == [0, 1]
+    assert hits.tolist() == [4, 2]
+    assert reps.tolist() == [0, 1]
 
 
 def test_cluster_representative_and_center():
-    # Equal best residuals keep the first member in order.
-    vecs = np.array([[0, 0], [0.1, 0], [0.2, 0]], complex)
+    # Equal best residuals keep the first member in column order.
+    vecs = _real_unit_columns([0, 10, 20], [0, 1, 2])
     _, reps, hits = _cluster(vecs, np.array([3e-21, 1e-21, 1e-21]), 1.0)
     assert reps.tolist() == [1] and hits.tolist() == [3]
-    # The representative moves to row 1, the better residual, but distances
-    # are still taken from row 0: row 2 is 1.2 from it and starts a cluster
-    # although it lies within 0.6 of row 1.
-    vecs = np.array([[0, 0], [0.6, 0], [1.2, 0]], complex)
+    # The representative moves to column 1, the better residual, but
+    # distances are still taken from column 0: column 2 is 70 degrees from it
+    # and starts a cluster although it lies within 35 degrees of column 1.
+    vecs = _real_unit_columns([0, 35, 70], [0, 0, 0])
     centers, reps, hits = _cluster(vecs, np.array([5e-21, 1e-21, 2e-21]), 1.0)
     assert centers.tolist() == [0, 2]
     assert reps.tolist() == [1, 2]
@@ -181,26 +193,48 @@ def test_cluster_representative_and_center():
 
 
 def test_cluster_matches_greedy_loop():
-    # Dense random points make many rows lie within tol of several centers.
+    # Dense random unit vectors make many columns lie within tol of several
+    # centers.
     rng = np.random.default_rng(5)
     cases = [
-        (rng.random((n, 3)) + 1j * rng.random((n, 3)), tol)
+        (rng.random((3, n)) + 1j * rng.random((3, n)), tol)
         for n, tol in ((300, 0.3), (300, 0.6), (50, 1e-6))
     ]
-    # Rows that agree where _cluster screens candidates and differ elsewhere,
-    # so only the full distance tells them apart: a shared real first
-    # component (the gauge pivot of vectors MU to I), and real and imaginary
-    # parts whose unit-norm projection with weights 1..6 stays within 1.5 tol.
-    pivot = rng.random((300, 3)) + 1j * rng.random((300, 3))
-    pivot[:, 0] = 0.5
-    weights = np.arange(1.0, 7.0) / np.linalg.norm(np.arange(1.0, 7.0))
-    flat = rng.random((300, 6))
-    flat += np.outer(0.9 * rng.random(300) - flat @ weights, weights)
-    cases += [(pivot, 0.3), (flat[:, :3] + 1j * flat[:, 3:], 0.6)]
+    # Columns that agree where _cluster screens candidates and differ
+    # elsewhere, so only the full overlap tells them apart: all share the
+    # key |<x|v>| = 0.6 for x the unit vector with weights 1, 2, 3.
+    x = np.arange(1.0, 4.0) / np.linalg.norm(np.arange(1.0, 4.0))
+    perp = rng.normal(size=(3, 300)) + 1j * rng.normal(size=(3, 300))
+    perp -= np.outer(x, x @ perp)
+    cases.append((0.6 * x[:, None] + 0.8 * perp / np.linalg.norm(perp, axis=0), 0.6))
+    # Columns cos(t) x + sin(t) y with y a unit vector orthogonal to x and t
+    # near pi/2, where keys differ almost by the full distance, so a window
+    # narrower than tol would miss columns within it.
+    y = perp[:, 0] / np.linalg.norm(perp[:, 0])
+    t = np.pi / 2 + rng.uniform(-0.5, 0.5, 300)
+    cases.append((np.outer(x, np.cos(t)) + np.outer(y, np.sin(t)), 0.3))
     for vecs, tol in cases:
-        res = rng.integers(0, 4, len(vecs)) * 1e-21
+        vecs = vecs / np.linalg.norm(vecs, axis=0) * np.exp(2j * np.pi * rng.random(vecs.shape[1]))
+        res = rng.integers(0, 4, vecs.shape[1]) * 1e-21
         centers, reps, hits = _cluster(vecs, res, tol)
-        assert (centers.tolist(), reps.tolist(), hits.tolist()) == _greedy_reference(vecs, res, tol)
+        assert (centers.tolist(), reps.tolist(), hits.tolist()) == _leader_reference(vecs, res, tol)
+        assert len(centers) < vecs.shape[1] or tol < 1e-3
+
+
+def test_cluster_ignores_gauge_pivot():
+    # Two columns 3e-7 apart up to phase, with all four moduli tied near 1/2
+    # and the two largest rounding to six decimals in opposite order, so
+    # _gauge_fix picks a different pivot for each and puts them far apart;
+    # they still form one cluster.
+    r = math.sqrt((1.0 - 0.5000004**2 - 0.5000006**2) / 2.0)
+    a = np.array([0.5000004 * np.exp(0.3j), 0.5000006 * np.exp(1.7j), r, -r])
+    b = np.array([0.5000006 * np.exp(0.3j), 0.5000004 * np.exp(1.7j), r, -r]) * np.exp(2.5j)
+    vecs = np.stack([a, b], axis=1)
+    fixed = _gauge_fix(vecs.T)
+    assert np.argmax(np.round(np.abs(a), 6)) != np.argmax(np.round(np.abs(b), 6))
+    assert np.linalg.norm(fixed[0] - fixed[1]) > 1.0
+    centers, reps, hits = _cluster(vecs, np.zeros(2), search.CLUSTER_TOL)
+    assert centers.tolist() == [0] and hits.tolist() == [2]
 
 
 def _random_spd(rng, n, m):
@@ -395,6 +429,28 @@ def test_gauge_fixing():
         k = int(np.argmax(np.round(np.abs(vec), 6)))
         assert abs(vec[k].imag) < 1e-12
         assert vec[k].real > 0
+
+
+def test_find_mu_vectors_lists_in_canonical_order():
+    # The reported vectors are gauge-fixed (again up to rounding), and listed
+    # in np.lexsort order of their components rounded to nine decimals, real
+    # parts first.
+    d3 = MUPair(hw_eigenbasis(3, "x"), hw_eigenbasis(3, "y"))
+    for pair, restarts in ((make_family_pair("P0"), 2000), (d3, 400)):
+        vecs = np.stack(find_mu_vectors(pair, SearchConfig(restarts=restarts, master_seed=7)).vectors)
+        assert np.abs(vecs - _gauge_fix(vecs)).max() <= 1e-15
+        key = np.round(np.concatenate([vecs.real, vecs.imag], axis=1), 9)
+        assert np.array_equal(np.lexsort(key.T[::-1]), np.arange(len(vecs)))
+
+
+def test_orthogonality_graph_rejects_non_unit_vectors():
+    # ORTHO_TOL only means orthogonal for unit vectors; a huge entry fails
+    # before its square can overflow.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for vectors in ([[2, 0], [0, 1]], [[1e200, 0], [1e200, 0]]):
+            with pytest.raises(FormatError, match="norm 1"):
+                orthogonality_graph(vectors)
 
 
 def test_orthogonality_graph_edges():
