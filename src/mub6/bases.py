@@ -15,6 +15,7 @@ from .linalg import (
     OMEGA,
     OMEGA2,
     _freeze,
+    _gram_defect,
     as_matrix,
     as_vector,
     tensor_product,
@@ -22,34 +23,6 @@ from .linalg import (
 
 if TYPE_CHECKING:
     from .families import FamilyParams
-
-
-# Eigenbasis matrices, columns = basis vectors. Column order and phases are
-# pinned so that downstream reduction scripts reproduce fixed row/column
-# indices; tests rely on these exact entries.
-_F3 = np.array(
-    [[1, 1, 1], [1, OMEGA, OMEGA2], [1, OMEGA2, OMEGA]], dtype=np.complex128
-) / np.sqrt(3.0)
-_HY = np.array(
-    [[1, 1, 1], [OMEGA, OMEGA2, 1], [OMEGA, 1, OMEGA2]], dtype=np.complex128
-) / np.sqrt(3.0)
-_HW = np.array(
-    [[1, 1, 1], [OMEGA2, 1, OMEGA], [OMEGA2, OMEGA, 1]], dtype=np.complex128
-) / np.sqrt(3.0)
-_H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-# Convention for the qubit y basis: columns (1, i)/sqrt2 and (1, -i)/sqrt2,
-# the eigenvectors of X Z.
-_Y2 = np.array([[1, 1], [1j, -1j]], dtype=np.complex128) / np.sqrt(2.0)
-
-_EIGENBASES = {
-    (2, "z"): np.eye(2, dtype=np.complex128),
-    (2, "x"): _H2,
-    (2, "y"): _Y2,
-    (3, "z"): np.eye(3, dtype=np.complex128),
-    (3, "x"): _F3,
-    (3, "y"): _HY,
-    (3, "w"): _HW,
-}
 
 
 @dataclass(frozen=True)
@@ -88,19 +61,17 @@ class Basis:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise NotABasisError(f"basis matrix must be square, got {m.shape}")
-        gram_dev = np.abs(m.conj().T @ m - np.eye(m.shape[0]))
-        if float(gram_dev.max()) > EQ_TOL:
-            i, j = np.unravel_index(int(gram_dev.argmax()), gram_dev.shape)
+        labels = None if self.labels is None else tuple(self.labels)
+        if labels is not None and len(labels) != m.shape[0]:
+            raise NotABasisError(f"{len(labels)} labels for a basis of dimension {m.shape[0]}")
+        defect = _gram_defect(m)
+        if defect is not None:
+            dev, i, j = defect
+            names = (i, j) if labels is None else (labels[i].name, labels[j].name)
             raise NotABasisError(
-                f"columns are not orthonormal: Gram deviation {gram_dev[i, j]:.3e} "
-                f"at vector pair ({i}, {j})"
+                f"columns are not orthonormal: Gram deviation {dev:.3e} at vector pair {names}"
             )
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != m.shape[0]:
-                raise NotABasisError(
-                    f"{len(labels)} labels for a basis of dimension {m.shape[0]}"
-                )
+        if labels is not None:
             for k, label in enumerate(labels):
                 if np.abs(label.vector() - m[:, k]).max() > EQ_TOL:
                     raise NotABasisError(
@@ -112,6 +83,22 @@ class Basis:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+# Clock/shift eigenbases, columns = basis vectors, each checked once here and
+# shared: a Basis is frozen and its matrix read-only. Column order and phases
+# are pinned so that downstream reduction scripts reproduce fixed row/column
+# indices; tests rely on these exact entries. The qubit y basis has columns
+# (1, i)/sqrt2 and (1, -i)/sqrt2, the eigenvectors of X Z.
+_EIGENBASES = {
+    (2, "z"): Basis(np.eye(2)),
+    (2, "x"): Basis(np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)),
+    (2, "y"): Basis(np.array([[1, 1], [1j, -1j]]) / np.sqrt(2.0)),
+    (3, "z"): Basis(np.eye(3)),
+    (3, "x"): Basis(np.array([[1, 1, 1], [1, OMEGA, OMEGA2], [1, OMEGA2, OMEGA]]) / np.sqrt(3.0)),
+    (3, "y"): Basis(np.array([[1, 1, 1], [OMEGA, OMEGA2, 1], [OMEGA, 1, OMEGA2]]) / np.sqrt(3.0)),
+    (3, "w"): Basis(np.array([[1, 1, 1], [OMEGA2, 1, OMEGA], [OMEGA2, OMEGA, 1]]) / np.sqrt(3.0)),
+}
 
 
 @dataclass(frozen=True)
@@ -177,30 +164,25 @@ def hw_eigenbasis(dim: int, label: str) -> Basis:
 
     Valid labels are z, x, y for dim 2 and z, x, y, w for dim 3. Column order
     and phases are fixed once and for all; see the module tests for the
-    eigenvector contracts.
+    eigenvector contracts. Each call returns the same Basis object, checked
+    once at import.
     """
     key = (dim, label)
     if key not in _EIGENBASES:
         raise DimensionError(f"no eigenbasis for dim {dim} with label {label!r}")
-    return Basis(_EIGENBASES[key])
+    return _EIGENBASES[key]
 
 
 def product_basis(labels) -> Basis:
-    """Assemble a dim-6 basis from product labels, one column per label."""
+    """Assemble a dim-6 basis from product labels, one column per label.
+
+    Columns that are not orthonormal raise NotABasisError naming the two
+    labels at the worst Gram deviation.
+    """
     labels = tuple(labels)
     if len(labels) != 6:
         raise NotABasisError(f"a product basis needs 6 labels, got {len(labels)}")
-    columns = [label.vector() for label in labels]
-    m = np.column_stack(columns)
-    gram = m.conj().T @ m
-    off = np.abs(gram - np.eye(6))
-    if float(off.max()) > EQ_TOL:
-        i, j = np.unravel_index(int(off.argmax()), off.shape)
-        raise NotABasisError(
-            f"tensor products {labels[i].name!r} and {labels[j].name!r} are not "
-            f"orthogonal: |<i|j>| = {abs(gram[i, j]):.3e}"
-        )
-    return Basis(m, labels=labels)
+    return Basis(np.column_stack([label.vector() for label in labels]), labels=labels)
 
 
 def is_mu_pair(first, second) -> MUCheck:
@@ -226,47 +208,30 @@ def same_basis_up_to_phase(first, second) -> PhaseWitness | None:
     """Find a column permutation and per-column phases identifying two bases.
 
     Returns a PhaseWitness with A[:, k] = exp(1j phases[k]) B[:, perm[k]]
-    within EQ_TOL, or None if no such identification exists. The search is
-    deterministic: candidate matches are tried in increasing column order.
+    within EQ_TOL, or None if no such identification exists. Column k of A is
+    matched to the first unused column of B that equals it up to phase, and
+    no match is undone: the columns of a basis are orthonormal, so each
+    column of A equals at most one of them up to phase.
     """
     a = _coerce(first)
     b = _coerce(second)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         return None
     d = a.shape[0]
-
-    candidates: list[list[tuple[int, float]]] = []
+    perm: list[int] = []
+    phases: list[float] = []
     for k in range(d):
-        row: list[tuple[int, float]] = []
         for j in range(d):
+            if j in perm:
+                continue
             ip = np.vdot(b[:, j], a[:, k])
             if abs(ip) < 1e-12:
                 continue
             phase = ip / abs(ip)
             if np.abs(a[:, k] - phase * b[:, j]).max() <= EQ_TOL:
-                row.append((j, float(np.angle(phase))))
-        if not row:
+                perm.append(j)
+                phases.append(float(np.angle(phase)))
+                break
+        else:
             return None
-        candidates.append(row)
-
-    perm = [-1] * d
-    phases = [0.0] * d
-    used = [False] * d
-
-    def assign(k: int) -> bool:
-        if k == d:
-            return True
-        for j, theta in candidates[k]:
-            if used[j]:
-                continue
-            used[j] = True
-            perm[k] = j
-            phases[k] = theta
-            if assign(k + 1):
-                return True
-            used[j] = False
-        return False
-
-    if not assign(0):
-        return None
     return PhaseWitness(tuple(perm), tuple(phases))

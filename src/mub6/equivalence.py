@@ -259,14 +259,6 @@ def _restore_first_moves(m1: np.ndarray) -> list[Move]:
     return moves
 
 
-def _block_diag(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    d = top.shape[0] + bottom.shape[0]
-    out = np.zeros((d, d), dtype=np.complex128)
-    out[: top.shape[0], : top.shape[0]] = top
-    out[top.shape[0] :, top.shape[0] :] = bottom
-    return out
-
-
 def reduce_P1(xi: float, eta: float) -> tuple[MUPair, TransformScript]:
     """Bring the P1 pair {I, Ftilde(xi,eta)^T} to the form {I, Ftilde(xi,eta)}.
 
@@ -323,7 +315,8 @@ def reduce_P3(zeta: float, chi: float, sigma: float, tau: float) -> tuple[MUPair
     member to the identity and shifts the phase parameters of the second.
     """
     pair = make_family_pair("P3", FamilyParams(zeta=zeta, chi=chi, sigma=sigma, tau=tau))
-    u = _block_diag(np.eye(3, dtype=np.complex128), make_S(zeta, chi).conj().T)
+    zero = np.zeros((3, 3))
+    u = np.block([[np.eye(3), zero], [zero, make_S(zeta, chi).conj().T]])
     script = TransformScript((Move.left_unitary(u),))
     return apply_script(pair, script), script
 
@@ -339,25 +332,29 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
     """
     pair = make_family_pair("P2")
     hy = hw_eigenbasis(3, "y").matrix
-    u = _block_diag(np.eye(3, dtype=np.complex128), 1j * hy.conj().T)
-    moves: list[Move] = [Move.left_unitary(u)]
+    zero = np.zeros((3, 3))
+    u = np.block([[np.eye(3), zero], [zero, 1j * hy.conj().T]])
+    moves: list[Move] = []
+    m1, m2 = pair.first.matrix, pair.second.matrix
 
-    def current(ms: list[Move]) -> tuple[np.ndarray, np.ndarray]:
-        m1 = pair.first.matrix.copy()
-        m2 = pair.second.matrix.copy()
-        for mv in ms:
+    def push(*new: Move) -> None:
+        nonlocal m1, m2
+        for mv in new:
             m1, m2 = _apply_raw(m1, m2, mv)
-        return m1, m2
+        moves.extend(new)
 
-    moves.extend(_restore_first_moves(current(moves)[0]))
-    moves.append(Move.permute_rows((0, 2, 1, 3, 4, 5)))
-    moves.append(Move.permute_rows((0, 1, 2, 4, 3, 5)))
-    moves.append(Move.permute_cols("second", (0, 5, 2, 3, 4, 1)))
-    moves.append(Move.permute_cols("second", (0, 1, 4, 3, 2, 5)))
-    moves.append(Move.permute_cols("second", (0, 1, 2, 4, 3, 5)))
+    push(Move.left_unitary(u))
+    push(*_restore_first_moves(m1))
     w2_angle = float(np.angle(OMEGA2))
-    moves.append(Move.left_diag_phase((0.0, 0.0, 0.0, w2_angle, 0.0, w2_angle)))
-    moves.extend(_restore_first_moves(current(moves)[0]))
+    push(
+        Move.permute_rows((0, 2, 1, 3, 4, 5)),
+        Move.permute_rows((0, 1, 2, 4, 3, 5)),
+        Move.permute_cols("second", (0, 5, 2, 3, 4, 1)),
+        Move.permute_cols("second", (0, 1, 4, 3, 2, 5)),
+        Move.permute_cols("second", (0, 1, 2, 4, 3, 5)),
+        Move.left_diag_phase((0.0, 0.0, 0.0, w2_angle, 0.0, w2_angle)),
+    )
+    push(*_restore_first_moves(m1))
 
     script = TransformScript(tuple(moves))
     out = apply_script(pair, script)

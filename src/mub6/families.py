@@ -10,7 +10,7 @@ import numpy as np
 
 from .bases import Basis, MUPair, ProductLabel, hw_eigenbasis
 from .errors import ParameterRangeError
-from .linalg import TAU
+from .linalg import OMEGA, OMEGA2, TAU
 
 FAMILY_IDS = ("P0", "P1", "P2", "P3")
 
@@ -88,11 +88,9 @@ def make_S(zeta: float, chi: float) -> np.ndarray:
     """
     ez = np.exp(1j * zeta)
     ec = np.exp(1j * chi)
-    w = np.exp(1j * TAU / 3.0)
-    w2 = np.exp(2j * TAU / 3.0)
     a = (1.0 + ez + ec) / 3.0
-    b = (1.0 + w2 * ez + w * ec) / 3.0
-    c = (1.0 + w * ez + w2 * ec) / 3.0
+    b = (1.0 + OMEGA2 * ez + OMEGA * ec) / 3.0
+    c = (1.0 + OMEGA * ez + OMEGA2 * ec) / 3.0
     return np.array([[a, b, c], [c, a, b], [b, c, a]], dtype=np.complex128)
 
 

@@ -48,8 +48,8 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
 def as_matrix(m) -> np.ndarray:
     """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.size == 0:
+        raise DimensionError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise FormatError("matrix contains non-finite entries")
     return a
@@ -69,14 +69,19 @@ def tensor_product(u, v) -> np.ndarray:
     return np.multiply.outer(a, b).ravel()
 
 
+def _gram_defect(a: np.ndarray) -> tuple[float, int, int] | None:
+    """Largest |A^dagger A - I| entry and its index, or None if all are <= EQ_TOL."""
+    dev = np.abs(a.conj().T @ a - np.eye(a.shape[0]))
+    i, j = np.unravel_index(int(dev.argmax()), dev.shape)
+    return None if dev[i, j] <= EQ_TOL else (float(dev[i, j]), int(i), int(j))
+
+
 def is_unitary(m) -> bool:
     """True iff max entry of |M^dagger M - I| is at most EQ_TOL."""
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise DimensionError(f"unitarity is defined for square matrices, got {a.shape}")
-    gram = a.conj().T @ a
-    dev = np.abs(gram - np.eye(a.shape[0]))
-    return float(dev.max()) <= EQ_TOL
+    return _gram_defect(a) is None
 
 
 def _format_entry(z: complex) -> str:

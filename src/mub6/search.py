@@ -411,6 +411,8 @@ def orthogonality_graph(vectors) -> OrthoGraph:
         vecs = vectors.vectors
     else:
         vecs = tuple(as_vector(v) for v in vectors)
+        if len({vec.shape for vec in vecs}) > 1:
+            raise DimensionError("vectors of different dimensions")
         for k, vec in enumerate(vecs):
             parts = np.abs(np.concatenate([vec.real, vec.imag]))
             # Parts past 1 fail before they are squared, so the norm cannot overflow.

@@ -14,8 +14,8 @@ import numpy as np
 
 from .bases import Basis, MUPair
 from .equivalence import TransformScript
-from .errors import FormatError
-from .families import FAMILY_IDS, FamilyParams
+from .errors import FormatError, ParameterRangeError
+from .families import FAMILY_IDS, FamilyParams, validate_family_params
 from .linalg import _quote, format_matrix, parse_matrix
 from .search import ExtensionResult, MUVectorSet, OrthoGraph
 
@@ -61,6 +61,11 @@ def pair_from_dict(data: dict) -> MUPair:
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"pair JSON 'params' {name!r} must be a float, got {_quote(str(value))}") from exc
     params = None if raw is None else FamilyParams(**values)
+    if family is not None:
+        try:
+            validate_family_params(family, params)
+        except ParameterRangeError as exc:
+            raise FormatError(f"pair JSON 'params' do not fit its family: {exc}") from exc
     return MUPair(Basis(first), Basis(second), family=family, params=params)
 
 

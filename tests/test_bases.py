@@ -11,6 +11,7 @@ from mub6 import (
     DimensionError,
     MUPair,
     NotABasisError,
+    PhaseWitness,
     ProductLabel,
     hw_eigenbasis,
     is_mu_pair,
@@ -244,3 +245,110 @@ def test_label_reproduction_enforced():
 def test_tensor_label_vector():
     lab = ProductLabel([1, 0], [0, 1, 0], name="|0_z,1_z>")
     assert np.array_equal(lab.vector(), tensor_product([1, 0], [0, 1, 0]))
+
+
+def test_eigenbases_are_shared_and_read_only():
+    for dim, labels in ((2, "zxy"), (3, "zxyw")):
+        for label in labels:
+            basis = hw_eigenbasis(dim, label)
+            assert hw_eigenbasis(dim, label) is basis
+            assert not basis.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                basis.matrix[0, 0] = 0.0
+
+
+def test_basis_error_names_both_labels():
+    e2 = np.eye(2)
+    f3 = hw_eigenbasis(3, "x").matrix
+    # |0_z,0_z> and |0_z,0_x> overlap by 1/sqrt3.
+    labels = [ProductLabel(e2[:, 0], np.eye(3)[:, 0], name="|0_z,0_z>")] + [
+        ProductLabel(e2[:, j], f3[:, k], name=f"|{j}_z,{k}_x>") for j in range(2) for k in range(3)
+    ][:5]
+    m = np.column_stack([label.vector() for label in labels])
+    with pytest.raises(NotABasisError) as err:
+        Basis(m, labels=tuple(labels))
+    assert "'|0_z,0_z>'" in str(err.value) and "'|0_z,0_x>'" in str(err.value)
+
+
+def test_empty_matrix_is_a_dimension_error():
+    empty = np.zeros((0, 0))
+    for call in (Basis, is_unitary, lambda m: is_mu_pair(m, m)):
+        with pytest.raises(DimensionError):
+            call(empty)
+
+
+def _backtracking_reference(a, b):
+    """The column matcher as a backtracking search over every candidate match:
+    what same_basis_up_to_phase must agree with, witness bits included."""
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    d = a.shape[0]
+    candidates = []
+    for k in range(d):
+        row = []
+        for j in range(d):
+            ip = np.vdot(b[:, j], a[:, k])
+            if abs(ip) < 1e-12:
+                continue
+            phase = ip / abs(ip)
+            if np.abs(a[:, k] - phase * b[:, j]).max() <= EQ_TOL:
+                row.append((j, float(np.angle(phase))))
+        if not row:
+            return None
+        candidates.append(row)
+    perm, phases, used = [-1] * d, [0.0] * d, [False] * d
+
+    def assign(k):
+        if k == d:
+            return True
+        for j, theta in candidates[k]:
+            if used[j]:
+                continue
+            used[j] = True
+            perm[k], phases[k] = j, theta
+            if assign(k + 1):
+                return True
+            used[j] = False
+        return False
+
+    return PhaseWitness(tuple(perm), tuple(phases)) if assign(0) else None
+
+
+def _matcher_case(rng, d):
+    """A basis B and a permuted, column-phased copy A, with one of: nothing,
+    a duplicated column in A or in B, 1e-11 noise on A, or a 1e-3 phase kick
+    on one entry of A."""
+    kind = rng.integers(4)
+    if kind == 0:
+        b = np.eye(d, dtype=np.complex128)
+    elif kind == 1 and d == 6:
+        b = make_Ftilde(*rng.uniform(0, 2 * np.pi, 2))
+    else:
+        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        b = np.linalg.qr(z)[0]
+    i, j = rng.choice(d, 2, replace=False)
+    change = rng.integers(5)
+    if change == 2:
+        # A copies the duplicated B, so some columns of A match two of B.
+        b = b.copy()
+        b[:, i] = b[:, j]
+    a = b[:, rng.permutation(d)] * np.exp(1j * rng.uniform(0, 2 * np.pi, d))
+    if change == 1:
+        a[:, i] = a[:, j] * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    elif change == 3:
+        a = a + 1e-11 * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / 2
+    elif change == 4:
+        a[i, j] *= np.exp(1e-3j)
+    return a, b
+
+
+def test_same_basis_up_to_phase_matches_backtracking_reference():
+    rng = np.random.default_rng(2024)
+    found = 0
+    for n in range(2200):
+        a, b = _matcher_case(rng, (3, 6)[n % 2])
+        got = same_basis_up_to_phase(a, b)
+        assert got == _backtracking_reference(a, b)
+        found += got is not None
+    # Both outcomes are well represented in the mix.
+    assert 550 < found < 1650

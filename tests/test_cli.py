@@ -323,11 +323,16 @@ def test_pair_json_round_trip_matches_memory(tmp_path, capsys):
         {"family": "P9" * 100_000},
         {"params": {"xi": "x" * 200_000}},
         {"params": {"x" * 200_000: 1.0}},
+        {"params": {"xi": 9.0, "sigma": -1.0}},
+        {"family": "P3", "params": {}},
+        {"family": "P1", "params": {"xi": 9.0, "eta": 1.0}},
+        {"family": "P1", "params": None},
     ],
     ids=[
         "unknown-param", "non-numeric-param", "params-string", "params-list", "family-P9",
         "first-number", "second-null", "first-list", "param-too-large",
         "long-family", "long-param-value", "long-param-name",
+        "params-off-family", "family-relabelled", "param-out-of-range", "params-missing",
     ],
 )
 def test_verify_rejects_malformed_pair_metadata(tmp_path, capsys, patch):

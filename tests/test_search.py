@@ -453,6 +453,11 @@ def test_orthogonality_graph_rejects_non_unit_vectors():
                 orthogonality_graph(vectors)
 
 
+def test_orthogonality_graph_rejects_mixed_dimensions():
+    with pytest.raises(DimensionError):
+        orthogonality_graph([[1, 0], [0, 1, 0]])
+
+
 def test_orthogonality_graph_edges():
     y = hw_eigenbasis(3, "y").matrix
     w = hw_eigenbasis(3, "w").matrix
