@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DimensionError, NotABasisError, NotMUPairError
+from .errors import DimensionError, NotABasisError, NotMUPairError, ParameterRangeError
 from .linalg import (
     EQ_TOL,
     MU_TOL,
@@ -18,7 +18,6 @@ from .linalg import (
     _gram_defect,
     as_matrix,
     as_vector,
-    tensor_product,
 )
 
 if TYPE_CHECKING:
@@ -41,13 +40,15 @@ class ProductLabel:
         f2 = as_vector(self.factor2, dim=2)
         f3 = as_vector(self.factor3, dim=3)
         for f in (f2, f3):
-            if abs(np.linalg.norm(f) - 1.0) > EQ_TOL:
+            # The sum np.linalg.norm computes, without its dispatch.
+            if abs(np.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag)) - 1.0) > EQ_TOL:
                 raise NotABasisError(f"label factor is not a unit vector in {self.name!r}")
         object.__setattr__(self, "factor2", _freeze(f2))
         object.__setattr__(self, "factor3", _freeze(f3))
 
     def vector(self) -> np.ndarray:
-        return tensor_product(self.factor2, self.factor3)
+        # tensor_product without re-checking the factors, frozen once above.
+        return np.multiply.outer(self.factor2, self.factor3).ravel()
 
 
 @dataclass(frozen=True)
@@ -72,11 +73,13 @@ class Basis:
                 f"columns are not orthonormal: Gram deviation {dev:.3e} at vector pair {names}"
             )
         if labels is not None:
-            for k, label in enumerate(labels):
-                if np.abs(label.vector() - m[:, k]).max() > EQ_TOL:
-                    raise NotABasisError(
-                        f"label {label.name!r} does not reproduce basis vector {k}"
-                    )
+            vectors = np.column_stack([label.vector() for label in labels])
+            bad = np.flatnonzero(np.abs(vectors - m).max(axis=0) > EQ_TOL)
+            if bad.size:
+                k = int(bad[0])
+                raise NotABasisError(
+                    f"label {labels[k].name!r} does not reproduce basis vector {k}"
+                )
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", _freeze(m))
 
@@ -116,7 +119,8 @@ class MUCheck:
 @dataclass(frozen=True)
 class MUPair:
     """Two mutually unbiased bases of equal dimension, with optional family
-    provenance. Construction validates the MU condition at MU_TOL."""
+    provenance. Construction validates the MU condition at MU_TOL, and params
+    need a family."""
 
     first: Basis
     second: Basis
@@ -128,6 +132,8 @@ class MUPair:
             raise DimensionError(
                 f"pair members have different dimensions: {self.first.dim} vs {self.second.dim}"
             )
+        if self.family is None and self.params is not None:
+            raise ParameterRangeError(f"params {sorted(self.params.present())} given without a family")
         check = is_mu_pair(self.first, self.second)
         if not check.ok:
             raise NotMUPairError(

@@ -174,36 +174,42 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The mub6 parser with only `command`'s subparser when it names one, else
-    with all of them.
-
-    argparse lists the built subcommands in the top-level usage line, which it
-    prints with an unrecognized flag; a lone subcommand gets the full list as
-    its metavar. With all of them built the metavar stays unset, because
-    argparse would also put it in place of `command` in its error messages.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The mub6 parser with all six subcommands."""
     parser = argparse.ArgumentParser(
         prog="mub6",
         description="Mutually unbiased product-basis pairs in dimension six.",
     )
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_arguments, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command and its arguments.
+
+    A known command is parsed by its own parser, the one argparse builds as
+    that subparser. Anything else, and flags that parser leaves over, goes to
+    the full parser, which prints the help, usage and errors of `mub6`.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"mub6 {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return argv[0], args
+    args = _build_parser().parse_args(argv)
+    return args.command, args
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
+        command, args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command][2](args)
+        return _COMMANDS[command][2](args)
     except Mub6Error as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
     except OSError as exc:

@@ -4,7 +4,6 @@ families to the standard forms {I, F(xi, eta)} and {I, S6}."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,7 +138,7 @@ def _check_phases(phases: tuple[float, ...] | None, d: int, move: Move) -> np.nd
     if phases is None or len(phases) != d:
         raise InvalidMoveError(f"move {move.kind} needs {d} phases")
     arr = np.asarray(phases, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidMoveError(f"move {move.kind} has non-finite phases")
     return arr
 
@@ -382,6 +381,8 @@ class HadamardFingerprint:
         return tuple(complex(re * self.quantum, im * self.quantum) for (re, im), _ in self.classes)
 
     def digest(self) -> str:
+        import hashlib  # only here, so the other commands never load OpenSSL
+
         payload = repr((self.quantum, self.classes)).encode()
         return hashlib.sha256(payload).hexdigest()
 

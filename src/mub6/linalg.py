@@ -40,7 +40,7 @@ def as_vector(v, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a 1-D vector, got shape {a.shape}")
     if dim is not None and a.shape[0] != dim:
         raise DimensionError(f"expected a vector of dimension {dim}, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise FormatError("vector contains non-finite entries")
     return a
 
@@ -50,7 +50,7 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.size == 0:
         raise DimensionError(f"expected a non-empty 2-D matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise FormatError("matrix contains non-finite entries")
     return a
 
@@ -84,10 +84,6 @@ def is_unitary(m) -> bool:
     return _gram_defect(a) is None
 
 
-def _format_entry(z: complex) -> str:
-    return f"{z.real:.17g}{z.imag:+.17g}j"
-
-
 def format_matrix(m) -> str:
     """Render a matrix in the shared text format.
 
@@ -98,8 +94,8 @@ def format_matrix(m) -> str:
     """
     a = as_matrix(m)
     lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        lines.append(" ".join(_format_entry(z) for z in row))
+    for row in a.tolist():
+        lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}j" for z in row))
     return "\n".join(lines) + "\n"
 
 
@@ -129,13 +125,14 @@ def parse_matrix(text: str) -> np.ndarray:
     for i, tokens in enumerate(rows):
         if len(tokens) != ncols:
             raise FormatError(f"row {i} has {len(tokens)} entries, expected {ncols}")
-    out = np.empty((nrows, ncols), dtype=np.complex128)
+    values = []
     for i, tokens in enumerate(rows):
         for j, token in enumerate(tokens):
             try:
-                out[i, j] = complex(token)
+                values.append(complex(token))
             except ValueError as exc:
                 raise FormatError(f"bad matrix entry {_quote(token)} at ({i}, {j})") from exc
-    if not np.all(np.isfinite(out)):
+    out = np.array(values, dtype=np.complex128).reshape(nrows, ncols)
+    if not np.isfinite(out).all():
         raise FormatError("matrix contains non-finite entries")
     return out

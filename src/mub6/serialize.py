@@ -61,12 +61,12 @@ def pair_from_dict(data: dict) -> MUPair:
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"pair JSON 'params' {name!r} must be a float, got {_quote(str(value))}") from exc
     params = None if raw is None else FamilyParams(**values)
-    if family is not None:
-        try:
+    try:
+        if family is not None:
             validate_family_params(family, params)
-        except ParameterRangeError as exc:
-            raise FormatError(f"pair JSON 'params' do not fit its family: {exc}") from exc
-    return MUPair(Basis(first), Basis(second), family=family, params=params)
+        return MUPair(Basis(first), Basis(second), family=family, params=params)
+    except ParameterRangeError as exc:
+        raise FormatError(f"pair JSON 'params' do not fit its family: {exc}") from exc
 
 
 def script_to_dict(script: TransformScript) -> dict:

@@ -9,8 +9,11 @@ from mub6 import (
     OMEGA2,
     Basis,
     DimensionError,
+    FamilyParams,
+    FormatError,
     MUPair,
     NotABasisError,
+    ParameterRangeError,
     PhaseWitness,
     ProductLabel,
     hw_eigenbasis,
@@ -240,6 +243,46 @@ def test_label_reproduction_enforced():
     ]
     with pytest.raises(NotABasisError):
         Basis(np.eye(6, dtype=complex), labels=tuple(wrong))
+
+
+def _z_labels():
+    """Product labels |j>|J> of the dim-6 z basis, in column order."""
+    e2, e3 = np.eye(2), np.eye(3)
+    return [ProductLabel(e2[:, j], e3[:, J], name=f"|{j}{J}>") for j in range(2) for J in range(3)]
+
+
+def test_label_mismatch_names_the_first_bad_label():
+    labels = _z_labels()
+    assert Basis(np.eye(6), labels=labels).labels == tuple(labels)
+    one_bad = list(labels)
+    one_bad[3] = labels[4]
+    with pytest.raises(NotABasisError, match=r"^label '\|11>' does not reproduce basis vector 3$"):
+        Basis(np.eye(6), labels=one_bad)
+    two_bad = list(labels)
+    two_bad[1], two_bad[4] = labels[0], labels[5]
+    with pytest.raises(NotABasisError, match=r"^label '\|00>' does not reproduce basis vector 1$"):
+        Basis(np.eye(6), labels=two_bad)
+
+
+def test_label_factor_unit_norm_check():
+    e3 = np.eye(3)[:, 0]
+    for scale in (1 + 1e-9, 1 - 1e-9, 1 + 2e-10):
+        for f2 in ([scale, 0.0], scale * np.array([1.0, 1j]) / np.sqrt(2.0)):
+            with pytest.raises(NotABasisError, match="not a unit vector"):
+                ProductLabel(f2, e3, name="bad")
+    ProductLabel([1 + 1e-11, 0.0], e3)
+    ProductLabel(np.array([1.0, 1j]) * (1 + 5e-11) / np.sqrt(2.0), e3)
+    with pytest.raises(FormatError, match="non-finite"):
+        ProductLabel([np.nan, 0.0], e3)
+    with pytest.raises(FormatError, match="non-finite"):
+        ProductLabel([1.0, 0.0], [1.0, complex(0.0, np.nan), 0.0])
+
+
+def test_pair_params_need_a_family():
+    first, second = hw_eigenbasis(2, "z"), hw_eigenbasis(2, "x")
+    for params in (FamilyParams(xi=9.0), FamilyParams()):
+        with pytest.raises(ParameterRangeError, match="without a family"):
+            MUPair(first, second, params=params)
 
 
 def test_tensor_label_vector():

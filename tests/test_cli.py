@@ -1,11 +1,15 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import mub6
 from mub6 import hw_eigenbasis, make_Ftilde, parse_matrix, format_matrix
 from mub6.cli import _build_parser, run
 from mub6.serialize import dump_json, pair_to_dict, load_json
@@ -132,6 +136,22 @@ def test_cli_text_matches_full_parser(capsys, argv):
         assert err.endswith("error: the following arguments are required: command\n")
     if argv == ["no-such-command"]:
         assert "error: argument command: invalid choice: 'no-such-command'" in err
+
+
+def _loads_hashlib(statement):
+    """Whether a fresh interpreter that runs `statement` has hashlib loaded."""
+    src = os.path.dirname(os.path.dirname(mub6.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"import sys\n{statement}\nprint('hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # Only `fingerprint` needs sha256; HadamardFingerprint.digest imports it.
+    if _loads_hashlib("import numpy"):
+        pytest.skip("numpy alone loads hashlib here")
+    assert not _loads_hashlib("import mub6.cli")
 
 
 def test_search_extend_reports_memory_error(tmp_path, capsys):
@@ -327,12 +347,15 @@ def test_pair_json_round_trip_matches_memory(tmp_path, capsys):
         {"family": "P3", "params": {}},
         {"family": "P1", "params": {"xi": 9.0, "eta": 1.0}},
         {"family": "P1", "params": None},
+        {"family": None, "params": {"xi": 9.0}},
+        {"family": None, "params": {}},
     ],
     ids=[
         "unknown-param", "non-numeric-param", "params-string", "params-list", "family-P9",
         "first-number", "second-null", "first-list", "param-too-large",
         "long-family", "long-param-value", "long-param-name",
         "params-off-family", "family-relabelled", "param-out-of-range", "params-missing",
+        "params-without-family", "empty-params-without-family",
     ],
 )
 def test_verify_rejects_malformed_pair_metadata(tmp_path, capsys, patch):

@@ -88,6 +88,37 @@ def test_matrix_text_round_trip():
         assert np.array_equal(back, m)  # 17 significant digits round-trip exactly
 
 
+def _reference_format(m):
+    """format_matrix written entry by entry, as the text format defines it."""
+    lines = [f"{m.shape[0]} {m.shape[1]}"]
+    for row in m:
+        lines.append(" ".join(f"{complex(z).real:.17g}{complex(z).imag:+.17g}j" for z in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_matrix_text_matches_reference_and_round_trips_bits():
+    rng = np.random.default_rng(11)
+    big, tiny = 1.7976931348623157e308, 5e-324
+    edges = np.array(
+        [
+            [complex(0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0)],
+            [complex(-0.0, 0.0), complex(tiny, -tiny), complex(-tiny, 0.0)],
+            [complex(big, -big), complex(-big, big), complex(1.0, tiny)],
+        ]
+    )
+    cases = [edges]
+    for shape in [(1, 1), (2, 3), (6, 6), (12, 4)]:
+        scale = 10.0 ** rng.integers(-300, 300, size=shape)
+        cases.append((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale)
+    for m in cases:
+        text = format_matrix(m)
+        assert text == _reference_format(m)
+        back = parse_matrix(text)
+        # Bit-equal, signed zeros included.
+        assert back.shape == m.shape and back.tobytes() == m.tobytes()
+    assert np.signbit(parse_matrix(format_matrix(edges)).view(np.float64)[0, 2:4]).tolist() == [True, True]
+
+
 def test_matrix_text_format_shape():
     text = format_matrix(np.eye(2))
     lines = text.strip().splitlines()
