@@ -20,12 +20,10 @@ from .equivalence import (
     reduce_P3,
 )
 from .errors import FormatError, Mub6Error
-from .families import FamilyParams, make_family_pair, validate_family_params
+from .families import _PARAM_NAMES, FAMILY_IDS, FamilyParams, make_family_pair, validate_family_params
 from .bases import is_mu_pair
 from .linalg import EQ_TOL, parse_matrix
 from .search import SearchConfig, find_extension_basis, orthogonality_graph
-
-_PARAM_FLAGS = ("xi", "eta", "zeta", "chi", "sigma", "tau")
 
 
 def _read(path: str) -> str:
@@ -45,7 +43,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _family_params(args: argparse.Namespace) -> FamilyParams:
-    return FamilyParams(**{name: getattr(args, name) for name in _PARAM_FLAGS})
+    return FamilyParams(**{name: getattr(args, name) for name in _PARAM_NAMES})
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -124,8 +122,8 @@ def _cmd_ortho_graph(args: argparse.Namespace) -> int:
 
 
 def _family_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", required=True, choices=["P0", "P1", "P2", "P3"])
-    for name in _PARAM_FLAGS:
+    p.add_argument("--family", required=True, choices=FAMILY_IDS)
+    for name in _PARAM_NAMES:
         p.add_argument(f"--{name}", type=float, default=None)
 
 

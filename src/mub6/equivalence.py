@@ -83,8 +83,8 @@ class Move:
     def from_json_dict(d: dict) -> "Move":
         if not isinstance(d, dict):
             raise FormatError(f"a script move must be an object, got {type(d).__name__}")
-        perm = _json_numbers(d, "perm", lambda i: int(i) - 1)
-        phases = _json_numbers(d, "phases_over_2pi", lambda p: float(p) * TAU)
+        perm = _json_numbers(d, "perm", int, lambda i: i - 1)
+        phases = _json_numbers(d, "phases_over_2pi", (int, float), lambda p: float(p) * TAU)
         matrix = None
         if "matrix" in d:
             if not isinstance(d["matrix"], str):
@@ -93,16 +93,19 @@ class Move:
         return Move(d.get("kind"), member=d.get("member"), perm=perm, phases=phases, matrix=matrix)
 
 
-def _json_numbers(d: dict, key: str, convert) -> tuple | None:
-    """The list d[key] converted entrywise, or None when the key is absent."""
+def _json_numbers(d: dict, key: str, types, convert) -> tuple | None:
+    """The list d[key] converted entrywise, or None when the key is absent.
+    Entries must be JSON numbers of the given types; true and false are not."""
     if key not in d:
         return None
-    if isinstance(d[key], (list, tuple)):
+    values = d[key]
+    if isinstance(values, (list, tuple)) and all(type(v) is not bool and isinstance(v, types) for v in values):
         try:
-            return tuple(convert(v) for v in d[key])
-        except (TypeError, ValueError, OverflowError):
+            return tuple(convert(v) for v in values)
+        except OverflowError:  # an integer too large for a float
             pass
-    raise FormatError(f"a script move's {key!r} must be a list of numbers")
+    kind = "integers" if types is int else "numbers"
+    raise FormatError(f"a script move's {key!r} must be a list of {kind}")
 
 
 @dataclass(frozen=True)
@@ -179,18 +182,24 @@ def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, 
     raise InvalidMoveError(f"unknown move kind {move.kind!r}")
 
 
+def _apply_checked(m1: np.ndarray, m2: np.ndarray, move: Move, idx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Move number idx applied to the pair (m1, m2), which must stay mutually
+    unbiased within MU_TOL."""
+    m1, m2 = _apply_raw(m1, m2, move)
+    check = is_mu_pair(m1, m2)
+    if not check.ok:
+        raise InvalidMoveError(
+            f"move {idx} ({move.kind}) broke mutual unbiasedness: "
+            f"deviation {check.worst_deviation:.3e}"
+        )
+    return m1, m2
+
+
 def apply_script(pair: MUPair, script: TransformScript) -> MUPair:
     """Replay a script on a pair, checking the MU invariant after every move."""
-    m1 = pair.first.matrix.copy()
-    m2 = pair.second.matrix.copy()
+    m1, m2 = pair.first.matrix, pair.second.matrix
     for idx, move in enumerate(script):
-        m1, m2 = _apply_raw(m1, m2, move)
-        check = is_mu_pair(m1, m2)
-        if not check.ok:
-            raise InvalidMoveError(
-                f"move {idx} ({move.kind}) broke mutual unbiasedness: "
-                f"deviation {check.worst_deviation:.3e}"
-            )
+        m1, m2 = _apply_checked(m1, m2, move, idx)
     return MUPair(Basis(m1), Basis(m2))
 
 
@@ -326,8 +335,9 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
     Fixed move order: left-multiply by [[I, 0], [0, i Hy^dagger]], restore the
     first member, swap rows 2<->3 then 4<->5 (1-based), permute columns of the
     second member 2<->6, 3<->5, 4<->5, multiply rows 4 and 6 by w^2, and
-    restore the first member again. The resulting second member is a
-    complex Hadamard whose dephased entry phases are all cube roots of unity.
+    restore the first member again, checking each move as apply_script does.
+    The second member ends as a complex Hadamard whose dephased entry phases
+    are all cube roots of unity.
     """
     pair = make_family_pair("P2")
     hy = hw_eigenbasis(3, "y").matrix
@@ -339,8 +349,8 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
     def push(*new: Move) -> None:
         nonlocal m1, m2
         for mv in new:
-            m1, m2 = _apply_raw(m1, m2, mv)
-        moves.extend(new)
+            m1, m2 = _apply_checked(m1, m2, mv, len(moves))
+            moves.append(mv)
 
     push(Move.left_unitary(u))
     push(*_restore_first_moves(m1))
@@ -355,12 +365,10 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
     )
     push(*_restore_first_moves(m1))
 
-    script = TransformScript(tuple(moves))
-    out = apply_script(pair, script)
-    first_dev = float(np.abs(out.first.matrix - np.eye(6)).max())
+    first_dev = float(np.abs(m1 - np.eye(6)).max())
     if first_dev > EQ_TOL:
         raise InvalidMoveError(f"P2 reduction failed to restore the identity ({first_dev:.3e})")
-    return out, script
+    return MUPair(Basis(m1), Basis(m2)), TransformScript(tuple(moves))
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,15 @@ class FamilyParams:
 
     def present(self) -> dict[str, float]:
         return {
-            f.name: float(getattr(self, f.name))
-            for f in fields(self)
-            if getattr(self, f.name) is not None
+            name: float(getattr(self, name))
+            for name in _PARAM_NAMES
+            if getattr(self, name) is not None
         }
+
+
+# The angle names in field order, the order of the CLI flags and of the names
+# a pair file may give.
+_PARAM_NAMES = tuple(f.name for f in fields(FamilyParams))
 
 
 def validate_family_params(family: str, params: FamilyParams | None) -> FamilyParams:
@@ -112,66 +117,28 @@ def make_Itilde(zeta: float, chi: float) -> np.ndarray:
     return out
 
 
-def _qubit_state(kind: str, delta: float = 0.0, sign: int = +1) -> np.ndarray:
-    """Named C^2 states used in labels: z/x basis vectors and their phased
-    variants (1, sign * e^{i delta})/sqrt2."""
-    if kind == "z0":
-        return np.array([1.0, 0.0], dtype=np.complex128)
-    if kind == "z1":
-        return np.array([0.0, 1.0], dtype=np.complex128)
-    return np.array([1.0, sign * np.exp(1j * delta)], dtype=np.complex128) / np.sqrt(2.0)
+def _labels(qubits: np.ndarray, qutrits: np.ndarray, names: list[str]) -> tuple[ProductLabel, ...]:
+    """A member's six column labels: label k has the C^2 factor qubits[:, k]
+    (qubits is 2 x 6), the C^3 factor qutrits[:, k] (3 x 6) and names[k]."""
+    return tuple(ProductLabel(q, t, name=n) for q, t, n in zip(qubits.T, qutrits.T, names))
 
 
-def _labels_x_r(cols: np.ndarray, name3: str) -> tuple[ProductLabel, ...]:
-    """Labels |0_x, J_x> then |1_x, c_J> with c_J the columns of cols; name3
-    annotates the C^3 states c_J."""
-    f3 = hw_eigenbasis(3, "x").matrix
-    out = []
-    for bigj in range(3):
-        out.append(
-            ProductLabel(_qubit_state("x", 0.0, +1), f3[:, bigj], name=f"|0_x,{bigj}_x>")
-        )
-    for bigj in range(3):
-        out.append(
-            ProductLabel(
-                _qubit_state("x", 0.0, -1), cols[:, bigj], name=f"|1_x,{name3.format(J=bigj)}>"
-            )
-        )
-    return tuple(out)
+def _block_labels(b: str, cols: np.ndarray, name3: str) -> tuple[ProductLabel, ...]:
+    """Labels |0_b, J_b> then |1_b, c_J> of a two-block member, b the z or x
+    basis and c_J the columns of cols; name3 annotates the C^3 states c_J."""
+    names = [f"|0_{b},{J}_{b}>" for J in range(3)] + [f"|1_{b},{name3.format(J=J)}>" for J in range(3)]
+    qutrits = np.hstack([hw_eigenbasis(3, b).matrix, cols])
+    return _labels(np.repeat(hw_eigenbasis(2, b).matrix, 3, axis=1), qutrits, names)
 
 
 def _labels_ftilde(sigma: float, tau: float) -> tuple[ProductLabel, ...]:
-    """Column labels of make_Ftilde(sigma, tau): the C^3 factor runs over the
-    x basis while the C^2 factor picks up the phases (0, sigma, tau)."""
+    """Column labels of make_Ftilde(sigma, tau): C^3 factors run over the x
+    basis, C^2 factors are (1, +-e^{i delta})/sqrt2 with delta = 0, sigma, tau."""
+    phases = np.exp(1j * np.array([0.0, sigma, tau]))
+    qubits = np.array([np.ones(6), np.r_[phases, -phases]]) / np.sqrt(2.0)
     f3 = hw_eigenbasis(3, "x").matrix
-    deltas = (0.0, sigma, tau)
-    tags = ("", "r(sigma)", "r(tau)")
-    out = []
-    for j, sign in ((0, +1), (1, -1)):
-        for k in range(3):
-            out.append(
-                ProductLabel(
-                    _qubit_state("x", deltas[k], sign),
-                    f3[:, k],
-                    name=f"|{tags[k]}{j}_x,{k}_x>",
-                )
-            )
-    return tuple(out)
-
-
-def _labels_itilde(s: np.ndarray, name3: str) -> tuple[ProductLabel, ...]:
-    """Column labels of [[I,0],[0,S]]: |0_z, J_z> then |1_z, S J_z>."""
-    eye3 = np.eye(3, dtype=np.complex128)
-    out = []
-    for bigj in range(3):
-        out.append(ProductLabel(_qubit_state("z0"), eye3[:, bigj], name=f"|0_z,{bigj}_z>"))
-    for bigj in range(3):
-        out.append(
-            ProductLabel(
-                _qubit_state("z1"), s[:, bigj].copy(), name=f"|1_z,{name3.format(J=bigj)}>"
-            )
-        )
-    return tuple(out)
+    names = [f"|{tag}{j}_x,{k}_x>" for j in range(2) for k, tag in enumerate(("", "r(sigma)", "r(tau)"))]
+    return _labels(qubits, np.hstack([f3, f3]), names)
 
 
 def make_family_pair(family: str, params: FamilyParams | None = None) -> MUPair:
@@ -184,28 +151,26 @@ def make_family_pair(family: str, params: FamilyParams | None = None) -> MUPair:
     params = validate_family_params(family, params)
     f3 = hw_eigenbasis(3, "x").matrix
     if family == "P0":
-        first = Basis(np.eye(6, dtype=np.complex128), labels=_labels_itilde(np.eye(3), "{J}_z"))
-        second = Basis(make_Ftilde(0.0, 0.0), labels=_labels_x_r(f3, "{J}_x"))
+        first = Basis(np.eye(6, dtype=np.complex128), labels=_block_labels("z", np.eye(3), "{J}_z"))
+        second = Basis(make_Ftilde(0.0, 0.0), labels=_block_labels("x", f3, "{J}_x"))
     elif family == "P1":
-        first = Basis(np.eye(6, dtype=np.complex128), labels=_labels_itilde(np.eye(3), "{J}_z"))
+        first = Basis(np.eye(6, dtype=np.complex128), labels=_block_labels("z", np.eye(3), "{J}_z"))
         second = Basis(
             make_Ftilde(params.xi, params.eta).T.copy(),
-            labels=_labels_x_r(make_R(params.xi, params.eta) @ f3, "R{J}_x"),
+            labels=_block_labels("x", make_R(params.xi, params.eta) @ f3, "R{J}_x"),
         )
     elif family == "P2":
         angle = 2.0 * TAU / 3.0
-        s = make_S(angle, angle)
-        first = Basis(make_Itilde(angle, angle), labels=_labels_itilde(s, "{J}_y"))
+        first = Basis(make_Itilde(angle, angle), labels=_block_labels("z", make_S(angle, angle), "{J}_y"))
         second = Basis(
             make_Ftilde(angle, angle).T.copy(),
-            labels=_labels_x_r(make_R(angle, angle) @ f3, "{J}_w"),
+            labels=_block_labels("x", make_R(angle, angle) @ f3, "{J}_w"),
         )
     else:
         s = make_S(params.zeta, params.chi)
-        first = Basis(make_Itilde(params.zeta, params.chi), labels=_labels_itilde(s, "S{J}_z"))
+        first = Basis(make_Itilde(params.zeta, params.chi), labels=_block_labels("z", s, "S{J}_z"))
         second = Basis(
             make_Ftilde(params.sigma, params.tau),
             labels=_labels_ftilde(params.sigma, params.tau),
         )
     return MUPair(first, second, family=family, params=params)
-

@@ -191,17 +191,17 @@ def _damped_step(
     """The Levenberg-Marquardt step (J^T J + damping I)^{-1} J^T r of each
     restart (column) for its free phases, with u, w and r as in _solve_phases.
     Sums over j run in order, like _sum_rows."""
-    d = len(w)
+    free = len(u) - 1
     # d r_j / d phi_k = 2 Im(H_kj conj(u_k) w_j) for k = 1..d-1, indexed [j, k - 1].
     jac = 2.0 * h_conj.T.conj()[:, 1:, None] * u[1:].conj()
     jac *= w[:, None]
     jac = np.ascontiguousarray(jac.imag)  # a real copy frees the complex products
-    # The damped lower triangle of J^T J, a row at a time.
-    jtj = np.empty((d - 1, d - 1, len(damping)))
-    for k in range(d - 1):
+    # The damped lower triangle of J^T J, a row at a time, over the residuals j.
+    jtj = np.empty((free, free, len(damping)))
+    for k in range(free):
         row = jtj[k, : k + 1]
         np.multiply(jac[0, : k + 1], jac[0, k], out=row)
-        for j in range(1, d):
+        for j in range(1, len(w)):
             row += jac[j, : k + 1] * jac[j, k]
         row[k] += damping
     return _spd_solve(jtj, _sum_rows(jac * r[:, None]))

@@ -8,18 +8,15 @@ bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 
 import numpy as np
 
 from .bases import Basis, MUPair
 from .equivalence import TransformScript
 from .errors import FormatError, ParameterRangeError
-from .families import FAMILY_IDS, FamilyParams, validate_family_params
+from .families import _PARAM_NAMES, FAMILY_IDS, FamilyParams, validate_family_params
 from .linalg import _quote, format_matrix, parse_matrix
 from .search import ExtensionResult, MUVectorSet, OrthoGraph
-
-_PARAM_NAMES = tuple(f.name for f in fields(FamilyParams))
 
 
 def pair_to_dict(pair: MUPair) -> dict:

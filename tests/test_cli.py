@@ -207,6 +207,31 @@ def test_reduce_p2_emits_pair_and_script(tmp_path, capsys):
             assert sorted(move["perm"]) == [1, 2, 3, 4, 5, 6]
 
 
+@pytest.mark.parametrize(
+    "family_args",
+    [["P0"], ["P1", "--xi", "0.7", "--eta", "1.3"], ["P2"],
+     ["P3", "--zeta", "0.4", "--chi", "1.1", "--sigma", "0.9", "--tau", "2.0"]],
+)
+def test_emitted_script_replays_to_reduced_pair(tmp_path, capsys, family_args):
+    # The script reader takes every script `reduce` writes, and replaying it on
+    # the `construct` output gives the `reduce` output bit for bit.
+    from mub6 import TransformScript, apply_script
+    from mub6.serialize import pair_from_dict
+
+    files = {name: tmp_path / f"{name}.json" for name in ("pair", "reduced", "script")}
+    assert run_cli(capsys, "construct", "--family", *family_args, "--out", str(files["pair"]))[0] == 0
+    code, _, _ = run_cli(
+        capsys, "reduce", "--family", *family_args,
+        "--out", str(files["reduced"]), "--emit-script", str(files["script"]),
+    )
+    assert code == 0
+    pair, reduced = (pair_from_dict(json.loads(files[k].read_text())) for k in ("pair", "reduced"))
+    script = TransformScript.from_json_dict(json.loads(files["script"].read_text()))
+    out = apply_script(pair, script)
+    assert out.first.matrix.tobytes() == reduced.first.matrix.tobytes()
+    assert out.second.matrix.tobytes() == reduced.second.matrix.tobytes()
+
+
 def test_reduce_p3_matches_library(tmp_path, capsys):
     args = dict(zeta=0.3, chi=1.4, sigma=0.9, tau=2.2)
     pair_file = tmp_path / "out.json"

@@ -72,6 +72,23 @@ def test_move_validation():
         apply_script(pair, TransformScript((Move.left_diag_phase((0.0,)),)))
 
 
+def test_apply_script_checks_mu_after_every_move():
+    # Each move passes is_unitary (|1 - (1 + 4e-11)^2| < EQ_TOL), but the
+    # first member's column norm drifts by 8e-11 per move until the pair
+    # fails MU_TOL.
+    u = np.diag([1 + 4e-11, 1, 1, 1, 1, 1])
+    script = TransformScript((Move.left_unitary(u),) * 200)
+    with pytest.raises(InvalidMoveError, match=r"^move 37 \(left-unitary\) broke mutual unbiasedness"):
+        apply_script(p0_pair(), script)
+
+
+def test_reduce_P2_pair_is_its_script_replayed():
+    out, script = reduce_P2()
+    replayed = apply_script(make_family_pair("P2"), script)
+    assert out.first.matrix.tobytes() == replayed.first.matrix.tobytes()
+    assert out.second.matrix.tobytes() == replayed.second.matrix.tobytes()
+
+
 def test_script_replay_is_bit_stable():
     _, script = reduce_P2()
     pair = make_family_pair("P2")
@@ -105,6 +122,15 @@ def test_script_json_round_trip():
         {"moves": [{"kind": "permute-rows", "perm": 5}]},
         {"moves": [{"kind": "left-unitary", "matrix": 5}]},
         {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": ["x"] * 6}]},
+        # Numbers are not coerced: no float, bool or string permutation
+        # entries, and no bool or string phases.
+        {"moves": [{"kind": "permute-rows", "perm": [1.9, 2.2, 3, 4, 5, 6]}]},
+        {"moves": [{"kind": "permute-rows", "perm": [1.0, 2, 3, 4, 5, 6]}]},
+        {"moves": [{"kind": "permute-rows", "perm": [True, 2, 3, 4, 5, 6]}]},
+        {"moves": [{"kind": "permute-rows", "perm": [1, "2", 3, 4, 5, 6]}]},
+        {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": ["0.5"] * 6}]},
+        {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": [True] + [0.0] * 5}]},
+        {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": [10**400] + [0.0] * 5}]},
     ],
 )
 def test_script_reader_raises_format_error(data):

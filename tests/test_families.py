@@ -181,6 +181,27 @@ def test_state_label_names():
         assert np.abs(label.factor3 - hw[:, J]).max() < 1e-15
 
 
+def test_every_label_name():
+    # The names `construct` writes, for all 48 columns of P0-P3.
+    zs = [f"|0_z,{J}_z>" for J in range(3)]
+    xs = [f"|0_x,{J}_x>" for J in range(3)]
+    names = {
+        "P0": (zs + ["|1_z,0_z>", "|1_z,1_z>", "|1_z,2_z>"], xs + ["|1_x,0_x>", "|1_x,1_x>", "|1_x,2_x>"]),
+        "P1": (zs + ["|1_z,0_z>", "|1_z,1_z>", "|1_z,2_z>"], xs + ["|1_x,R0_x>", "|1_x,R1_x>", "|1_x,R2_x>"]),
+        "P2": (zs + ["|1_z,0_y>", "|1_z,1_y>", "|1_z,2_y>"], xs + ["|1_x,0_w>", "|1_x,1_w>", "|1_x,2_w>"]),
+        "P3": (
+            zs + ["|1_z,S0_z>", "|1_z,S1_z>", "|1_z,S2_z>"],
+            ["|0_x,0_x>", "|r(sigma)0_x,1_x>", "|r(tau)0_x,2_x>"]
+            + ["|1_x,0_x>", "|r(sigma)1_x,1_x>", "|r(tau)1_x,2_x>"],
+        ),
+    }
+    rng = np.random.default_rng(3)
+    for family, (first, second) in names.items():
+        pair = make_family_pair(family, sample_params(family, rng))
+        assert [l.name for l in pair.first.labels] == first
+        assert [l.name for l in pair.second.labels] == second
+
+
 def test_pair_labels_reproduce_columns():
     rng = np.random.default_rng(9)
     for family in ("P0", "P1", "P2", "P3"):

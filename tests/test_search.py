@@ -24,6 +24,7 @@ from mub6 import search
 from mub6.search import (
     _cayley,
     _cluster,
+    _damped_step,
     _gauge_fix,
     _recheck,
     _residual,
@@ -274,6 +275,28 @@ def test_spd_solve_flags_only_rows_that_are_not_positive_definite():
 
 def _h_conj(pair):
     return pair.first.matrix.T @ pair.second.matrix.conj()
+
+
+def test_damped_step_matches_dense_solve():
+    # The step sizes J^T J by the free phases (d - 1) and sums over every
+    # residual, so a stack of bases [F3 | Y3], with 2d residuals, works as
+    # well as a square pair.
+    stack = np.hstack([hw_eigenbasis(3, "x").matrix, hw_eigenbasis(3, "y").matrix]).conj()
+    rng = np.random.default_rng(8)
+    for h_conj in (stack, _h_conj(make_family_pair("P0"))):
+        d, n = len(h_conj), 5
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi, (d, n))) / np.sqrt(d)
+        w = h_conj.T @ u
+        r = np.abs(w) ** 2 - 1 / d
+        damping = rng.uniform(1e-3, 1.0, n)
+        step = _damped_step(h_conj, u, w, r, damping)
+        assert step.shape == (d - 1, n)
+        for c in range(n):
+            # d|w_j|^2 / d phi_k with u_k = e^{i phi_k} / sqrt(d), k >= 1.
+            jac = np.array([[2 * np.real(np.conj(w[j, c]) * 1j * h_conj[k, j] * u[k, c]) for k in range(1, d)]
+                            for j in range(len(w))])
+            dense = np.linalg.solve(jac.T @ jac + damping[c] * np.eye(d - 1), jac.T @ r[:, c])
+            np.testing.assert_allclose(step[:, c], dense, rtol=1e-10, atol=1e-13)
 
 
 def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
