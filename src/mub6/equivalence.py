@@ -4,23 +4,27 @@ families to the standard forms {I, F(xi, eta)} and {I, S6}."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bases import Basis, MUPair, hw_eigenbasis, is_mu_pair, same_basis_up_to_phase
-from .errors import FormatError, InvalidMoveError, NotHadamardError
+from .errors import InvalidMoveError, NotHadamardError
 from .families import make_family_pair, make_Ftilde, make_S, FamilyParams
-from .linalg import (
-    EQ_TOL,
-    OMEGA2,
-    TAU,
-    _freeze,
-    as_matrix,
-    format_matrix,
-    is_unitary,
-    parse_matrix,
-)
+from .linalg import EQ_TOL, OMEGA2, _freeze, _quote, as_matrix, is_unitary
+
+
+# The fields each move kind takes besides its kind.
+_KIND_FIELDS = {
+    "permute-rows": {"perm"},
+    "permute-cols": {"member", "perm"},
+    "left-diag-phase": {"phases"},
+    "right-diag-phase": {"member", "phases"},
+    "left-unitary": {"matrix"},
+    "conjugate-both": set(),
+    "swap-members": set(),
+}
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,8 @@ class Move:
     (serialization uses 1-based indices). Phases are radians. Member-scoped
     moves ("permute-cols", "right-diag-phase") carry member "first" or
     "second"; row operations and left multiplications act on both members.
+    A move is checked once, when it is built; apply_script adds only its size
+    against the pair's dimension and the MU check after it.
     """
 
     kind: str
@@ -39,73 +45,40 @@ class Move:
     phases: tuple[float, ...] | None = None
     matrix: np.ndarray | None = None
 
-    @staticmethod
-    def permute_rows(perm) -> "Move":
-        return Move("permute-rows", perm=tuple(int(i) for i in perm))
-
-    @staticmethod
-    def permute_cols(member: str, perm) -> "Move":
-        return Move("permute-cols", member=member, perm=tuple(int(i) for i in perm))
-
-    @staticmethod
-    def left_diag_phase(phases) -> "Move":
-        return Move("left-diag-phase", phases=tuple(float(p) for p in phases))
-
-    @staticmethod
-    def right_diag_phase(member: str, phases) -> "Move":
-        return Move("right-diag-phase", member=member, phases=tuple(float(p) for p in phases))
-
-    @staticmethod
-    def left_unitary(matrix) -> "Move":
-        return Move("left-unitary", matrix=_freeze(as_matrix(matrix)))
-
-    @staticmethod
-    def conjugate_both() -> "Move":
-        return Move("conjugate-both")
-
-    @staticmethod
-    def swap_members() -> "Move":
-        return Move("swap-members")
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.member is not None:
-            out["member"] = self.member
-        if self.perm is not None:
-            out["perm"] = [i + 1 for i in self.perm]
-        if self.phases is not None:
-            out["phases_over_2pi"] = [p / TAU for p in self.phases]
-        if self.matrix is not None:
-            out["matrix"] = format_matrix(self.matrix)
-        return out
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "Move":
-        if not isinstance(d, dict):
-            raise FormatError(f"a script move must be an object, got {type(d).__name__}")
-        perm = _json_numbers(d, "perm", int, lambda i: i - 1)
-        phases = _json_numbers(d, "phases_over_2pi", (int, float), lambda p: float(p) * TAU)
-        matrix = None
-        if "matrix" in d:
-            if not isinstance(d["matrix"], str):
-                raise FormatError("a script move's 'matrix' must be matrix text")
-            matrix = _freeze(parse_matrix(d["matrix"]))
-        return Move(d.get("kind"), member=d.get("member"), perm=perm, phases=phases, matrix=matrix)
-
-
-def _json_numbers(d: dict, key: str, types, convert) -> tuple | None:
-    """The list d[key] converted entrywise, or None when the key is absent.
-    Entries must be JSON numbers of the given types; true and false are not."""
-    if key not in d:
-        return None
-    values = d[key]
-    if isinstance(values, (list, tuple)) and all(type(v) is not bool and isinstance(v, types) for v in values):
+    def __post_init__(self) -> None:
         try:
-            return tuple(convert(v) for v in values)
-        except OverflowError:  # an integer too large for a float
-            pass
-    kind = "integers" if types is int else "numbers"
-    raise FormatError(f"a script move's {key!r} must be a list of {kind}")
+            fields = _KIND_FIELDS[self.kind]
+        except (KeyError, TypeError):
+            raise InvalidMoveError(f"unknown move kind {_quote(str(self.kind))}") from None
+        given = {name for name in ("member", "perm", "phases", "matrix") if getattr(self, name) is not None}
+        if given != fields:
+            raise InvalidMoveError(f"move {self.kind} takes the fields {sorted(fields)}, got {sorted(given)}")
+        if "member" in fields and self.member not in ("first", "second"):
+            raise InvalidMoveError(f"move {self.kind} needs member 'first' or 'second'")
+        if self.perm is not None:
+            perm = _entries(self, "perm", (int, np.integer), int)
+            if sorted(perm) != list(range(len(perm))):
+                raise InvalidMoveError(f"move {self.kind} needs a permutation of 0..{len(perm) - 1}")
+            object.__setattr__(self, "perm", perm)
+        if self.phases is not None:
+            phases = _entries(self, "phases", (int, float, np.integer, np.floating), float)
+            if not all(map(math.isfinite, phases)):
+                raise InvalidMoveError(f"move {self.kind} has non-finite phases")
+            object.__setattr__(self, "phases", phases)
+        if self.matrix is not None:
+            matrix = _freeze(as_matrix(self.matrix))
+            if matrix.shape[0] != matrix.shape[1] or not is_unitary(matrix):
+                raise InvalidMoveError("left-unitary needs a square matrix, unitary within EQ_TOL")
+            object.__setattr__(self, "matrix", matrix)
+
+
+def _entries(move: Move, name: str, types, convert) -> tuple:
+    """The entries of one of the move's fields, converted; they must all be
+    numbers of the given types, never bools or strings."""
+    values = tuple(getattr(move, name))
+    if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
+        raise InvalidMoveError(f"move {move.kind} needs {name} as a sequence of numbers")
+    return tuple(convert(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -120,66 +93,32 @@ class TransformScript:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def to_json_dict(self) -> dict:
-        return {"moves": [m.to_json_dict() for m in self.moves]}
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "TransformScript":
-        moves = d.get("moves", ()) if isinstance(d, dict) else None
-        if not isinstance(moves, (list, tuple)):
-            raise FormatError("script JSON must be an object with a 'moves' list")
-        return TransformScript(tuple(Move.from_json_dict(m) for m in moves))
-
-
-def _check_perm(perm: tuple[int, ...] | None, d: int, move: Move) -> np.ndarray:
-    if perm is None or sorted(perm) != list(range(d)):
-        raise InvalidMoveError(f"move {move.kind} needs a permutation of 0..{d - 1}, got {perm}")
-    return np.asarray(perm, dtype=int)
-
-
-def _check_phases(phases: tuple[float, ...] | None, d: int, move: Move) -> np.ndarray:
-    if phases is None or len(phases) != d:
-        raise InvalidMoveError(f"move {move.kind} needs {d} phases")
-    arr = np.asarray(phases, dtype=float)
-    if not np.isfinite(arr).all():
-        raise InvalidMoveError(f"move {move.kind} has non-finite phases")
-    return arr
-
 
 def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, np.ndarray]:
     d = m1.shape[0]
+    for payload in (move.perm, move.phases, move.matrix):
+        if payload is not None and len(payload) != d:
+            raise InvalidMoveError(f"move {move.kind} has size {len(payload)}, the pair dimension {d}")
     kind = move.kind
     if kind == "permute-rows":
-        p = _check_perm(move.perm, d, move)
+        p = np.asarray(move.perm)
         return m1[p, :], m2[p, :]
-    if kind == "permute-cols":
-        p = _check_perm(move.perm, d, move)
-        if move.member == "first":
-            return m1[:, p], m2
-        if move.member == "second":
-            return m1, m2[:, p]
-        raise InvalidMoveError(f"permute-cols needs member 'first' or 'second', got {move.member!r}")
     if kind == "left-diag-phase":
-        lam = np.exp(1j * _check_phases(move.phases, d, move))
+        lam = np.exp(1j * np.asarray(move.phases))
         return lam[:, None] * m1, lam[:, None] * m2
-    if kind == "right-diag-phase":
-        lam = np.exp(1j * _check_phases(move.phases, d, move))
-        if move.member == "first":
-            return m1 * lam[None, :], m2
-        if move.member == "second":
-            return m1, m2 * lam[None, :]
-        raise InvalidMoveError(f"right-diag-phase needs member 'first' or 'second', got {move.member!r}")
     if kind == "left-unitary":
-        if move.matrix is None or move.matrix.shape != (d, d):
-            raise InvalidMoveError(f"left-unitary needs a {d}x{d} matrix payload")
-        if not is_unitary(move.matrix):
-            raise InvalidMoveError("left-unitary payload is not unitary within EQ_TOL")
         return move.matrix @ m1, move.matrix @ m2
     if kind == "conjugate-both":
         return m1.conj(), m2.conj()
     if kind == "swap-members":
         return m2, m1
-    raise InvalidMoveError(f"unknown move kind {move.kind!r}")
+    # permute-cols or right-diag-phase: a column move on one member.
+    m = m1 if move.member == "first" else m2
+    if kind == "permute-cols":
+        m = m[:, np.asarray(move.perm)]
+    else:
+        m = m * np.exp(1j * np.asarray(move.phases))[None, :]
+    return (m, m2) if move.member == "first" else (m1, m)
 
 
 def _apply_checked(m1: np.ndarray, m2: np.ndarray, move: Move, idx: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,9 +171,9 @@ def dephase(h) -> tuple[np.ndarray, TransformScript]:
     m2 = np.exp(1j * row_angles)[:, None] * m1
     script = TransformScript(
         (
-            Move.right_diag_phase("second", col_angles),
-            Move.left_diag_phase(row_angles),
-            Move.right_diag_phase("first", -row_angles),
+            Move("right-diag-phase", "second", phases=col_angles),
+            Move("left-diag-phase", phases=row_angles),
+            Move("right-diag-phase", "first", phases=-row_angles),
         )
     )
     return m2, script
@@ -260,10 +199,10 @@ def _restore_first_moves(m1: np.ndarray) -> list[Move]:
         sigma[target] = k
     moves: list[Move] = []
     if sigma != list(range(d)):
-        moves.append(Move.permute_cols("first", sigma))
+        moves.append(Move("permute-cols", "first", perm=sigma))
     undo = [-witness.phases[sigma[i]] for i in range(d)]
     if any(abs(a) > 1e-15 for a in undo):
-        moves.append(Move.right_diag_phase("first", undo))
+        moves.append(Move("right-diag-phase", "first", phases=undo))
     return moves
 
 
@@ -276,9 +215,9 @@ def reduce_P1(xi: float, eta: float) -> tuple[MUPair, TransformScript]:
     pair = make_family_pair("P1", FamilyParams(xi=xi, eta=eta))
     script = TransformScript(
         (
-            Move.left_unitary(pair.second.matrix.conj().T),
-            Move.conjugate_both(),
-            Move.swap_members(),
+            Move("left-unitary", matrix=pair.second.matrix.conj().T),
+            Move("conjugate-both"),
+            Move("swap-members"),
         )
     )
     return apply_script(pair, script), script
@@ -302,9 +241,9 @@ def ftilde_to_fourier(xi: float, eta: float) -> tuple[np.ndarray, TransformScrip
     out = ft[np.asarray(_FOURIER_ROW_PERM), :][:, np.asarray(_FOURIER_COL_PERM)]
     script = TransformScript(
         (
-            Move.permute_rows(_FOURIER_ROW_PERM),
-            Move.permute_cols("first", _FOURIER_ROW_PERM),
-            Move.permute_cols("second", _FOURIER_COL_PERM),
+            Move("permute-rows", perm=_FOURIER_ROW_PERM),
+            Move("permute-cols", "first", perm=_FOURIER_ROW_PERM),
+            Move("permute-cols", "second", perm=_FOURIER_COL_PERM),
         )
     )
     return out, script
@@ -325,7 +264,7 @@ def reduce_P3(zeta: float, chi: float, sigma: float, tau: float) -> tuple[MUPair
     pair = make_family_pair("P3", FamilyParams(zeta=zeta, chi=chi, sigma=sigma, tau=tau))
     zero = np.zeros((3, 3))
     u = np.block([[np.eye(3), zero], [zero, make_S(zeta, chi).conj().T]])
-    script = TransformScript((Move.left_unitary(u),))
+    script = TransformScript((Move("left-unitary", matrix=u),))
     return apply_script(pair, script), script
 
 
@@ -352,16 +291,16 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
             m1, m2 = _apply_checked(m1, m2, mv, len(moves))
             moves.append(mv)
 
-    push(Move.left_unitary(u))
+    push(Move("left-unitary", matrix=u))
     push(*_restore_first_moves(m1))
     w2_angle = float(np.angle(OMEGA2))
     push(
-        Move.permute_rows((0, 2, 1, 3, 4, 5)),
-        Move.permute_rows((0, 1, 2, 4, 3, 5)),
-        Move.permute_cols("second", (0, 5, 2, 3, 4, 1)),
-        Move.permute_cols("second", (0, 1, 4, 3, 2, 5)),
-        Move.permute_cols("second", (0, 1, 2, 4, 3, 5)),
-        Move.left_diag_phase((0.0, 0.0, 0.0, w2_angle, 0.0, w2_angle)),
+        Move("permute-rows", perm=(0, 2, 1, 3, 4, 5)),
+        Move("permute-rows", perm=(0, 1, 2, 4, 3, 5)),
+        Move("permute-cols", "second", perm=(0, 5, 2, 3, 4, 1)),
+        Move("permute-cols", "second", perm=(0, 1, 4, 3, 2, 5)),
+        Move("permute-cols", "second", perm=(0, 1, 2, 4, 3, 5)),
+        Move("left-diag-phase", phases=(0.0, 0.0, 0.0, w2_angle, 0.0, w2_angle)),
     )
     push(*_restore_first_moves(m1))
 

@@ -2,21 +2,39 @@
 
 Matrices embed as the shared text format; floats rely on Python's shortest
 round-trip repr, so every serialized double survives a load/dump cycle
-bit-exactly.
+bit-exactly. Every number a reader takes, in pair params, scripts and search
+output, passes one rule, _number: JSON numbers only.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import numpy as np
 
 from .bases import Basis, MUPair
-from .equivalence import TransformScript
-from .errors import FormatError, ParameterRangeError
+from .equivalence import Move, TransformScript
+from .errors import FormatError, InvalidMoveError, ParameterRangeError
 from .families import _PARAM_NAMES, FAMILY_IDS, FamilyParams, validate_family_params
-from .linalg import _quote, format_matrix, parse_matrix
+from .linalg import TAU, _quote, format_matrix, parse_matrix
 from .search import ExtensionResult, MUVectorSet, OrthoGraph
+
+
+def _number(value, what: str) -> int | float:
+    """value if it is a JSON number: an int or float, never a bool or string, nor an int past a double."""
+    if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
+        return value
+    raise FormatError(f"{what} must be a JSON number, got {_quote(str(value))}")
+
+
+def _numbers(values, what: str, convert) -> tuple | None:
+    """The list values, each entry a JSON number, converted; None when absent."""
+    if values is None:
+        return None
+    if not isinstance(values, list):
+        raise FormatError(f"{what} must be a list of JSON numbers")
+    return tuple(convert(_number(v, what)) for v in values)
 
 
 def pair_to_dict(pair: MUPair) -> dict:
@@ -53,10 +71,7 @@ def pair_from_dict(data: dict) -> MUPair:
     for name, value in (raw or {}).items():
         if name not in _PARAM_NAMES:
             raise FormatError(f"pair JSON 'params' has name {_quote(name)}, expected one of {_PARAM_NAMES}")
-        try:
-            values[name] = float(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise FormatError(f"pair JSON 'params' {name!r} must be a float, got {_quote(str(value))}") from exc
+        values[name] = float(_number(value, f"pair JSON 'params' {name!r}"))
     params = None if raw is None else FamilyParams(**values)
     try:
         if family is not None:
@@ -67,7 +82,41 @@ def pair_from_dict(data: dict) -> MUPair:
 
 
 def script_to_dict(script: TransformScript) -> dict:
-    return script.to_json_dict()
+    moves = []
+    for move in script:
+        fields = {
+            "kind": move.kind,
+            "member": move.member,
+            "perm": None if move.perm is None else [i + 1 for i in move.perm],
+            "phases_over_2pi": None if move.phases is None else [p / TAU for p in move.phases],
+            "matrix": None if move.matrix is None else format_matrix(move.matrix),
+        }
+        moves.append({key: value for key, value in fields.items() if value is not None})
+    return {"moves": moves}
+
+
+def script_from_dict(data: dict) -> TransformScript:
+    """The script script_to_dict wrote as data. A move that Move refuses, an
+    unknown key or a missing 'moves' list is a FormatError."""
+    moves = data.get("moves") if isinstance(data, dict) else None
+    if not isinstance(moves, list) or not all(isinstance(m, dict) for m in moves):
+        raise FormatError("script JSON must be an object with a 'moves' list of objects")
+    try:
+        return TransformScript(tuple(_move_from_dict(m) for m in moves))
+    except InvalidMoveError as exc:
+        raise FormatError(f"script JSON has a bad move: {exc}") from exc
+
+
+def _move_from_dict(data: dict) -> Move:
+    fields = dict(data)
+    kind, member, text = (fields.pop(key, None) for key in ("kind", "member", "matrix"))
+    perm = _numbers(fields.pop("perm", None), "script move 'perm'", lambda i: i - 1)
+    phases = _numbers(fields.pop("phases_over_2pi", None), "script move 'phases_over_2pi'", lambda p: p * TAU)
+    if fields:
+        raise FormatError(f"a script move has unknown keys {_quote(str(sorted(fields)))}")
+    if text is not None and not isinstance(text, str):
+        raise FormatError("a script move's 'matrix' must be matrix text")
+    return Move(kind, member, perm, phases, None if text is None else parse_matrix(text))
 
 
 def _vector_to_json(vec: np.ndarray) -> list[list[float]]:
@@ -110,9 +159,11 @@ def vectors_from_dict(data: dict) -> tuple[np.ndarray, ...]:
     orthogonality_graph checks that they are unit vectors.
     """
     try:
-        rows = [[complex(re, im) for re, im in c["vector"]] for c in data["clusters"]]
+        rows = [
+            [complex(_number(re, "re"), _number(im, "im")) for re, im in c["vector"]] for c in data["clusters"]
+        ]
         return tuple(np.array(rows, dtype=np.complex128))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"vector-set clusters need equal-length [re, im] lists ({exc!r})") from exc
 
 

@@ -207,16 +207,19 @@ def test_reduce_p2_emits_pair_and_script(tmp_path, capsys):
             assert sorted(move["perm"]) == [1, 2, 3, 4, 5, 6]
 
 
-@pytest.mark.parametrize(
-    "family_args",
-    [["P0"], ["P1", "--xi", "0.7", "--eta", "1.3"], ["P2"],
-     ["P3", "--zeta", "0.4", "--chi", "1.1", "--sigma", "0.9", "--tau", "2.0"]],
-)
+_FAMILY_ARGS = [
+    ["P0"], ["P1", "--xi", "0.7", "--eta", "1.3"], ["P2"],
+    ["P3", "--zeta", "0.4", "--chi", "1.1", "--sigma", "0.9", "--tau", "2.0"],
+]
+
+
+@pytest.mark.parametrize("family_args", _FAMILY_ARGS)
 def test_emitted_script_replays_to_reduced_pair(tmp_path, capsys, family_args):
-    # The script reader takes every script `reduce` writes, and replaying it on
-    # the `construct` output gives the `reduce` output bit for bit.
-    from mub6 import TransformScript, apply_script
-    from mub6.serialize import pair_from_dict
+    # The script reader takes every script `reduce` writes, writes it back
+    # unchanged, and replaying it on the `construct` output gives the `reduce`
+    # output bit for bit.
+    from mub6 import apply_script
+    from mub6.serialize import pair_from_dict, script_from_dict, script_to_dict
 
     files = {name: tmp_path / f"{name}.json" for name in ("pair", "reduced", "script")}
     assert run_cli(capsys, "construct", "--family", *family_args, "--out", str(files["pair"]))[0] == 0
@@ -226,7 +229,9 @@ def test_emitted_script_replays_to_reduced_pair(tmp_path, capsys, family_args):
     )
     assert code == 0
     pair, reduced = (pair_from_dict(json.loads(files[k].read_text())) for k in ("pair", "reduced"))
-    script = TransformScript.from_json_dict(json.loads(files["script"].read_text()))
+    data = json.loads(files["script"].read_text())
+    script = script_from_dict(data)
+    assert script_to_dict(script) == data
     out = apply_script(pair, script)
     assert out.first.matrix.tobytes() == reduced.first.matrix.tobytes()
     assert out.second.matrix.tobytes() == reduced.second.matrix.tobytes()
@@ -374,13 +379,15 @@ def test_pair_json_round_trip_matches_memory(tmp_path, capsys):
         {"family": "P1", "params": None},
         {"family": None, "params": {"xi": 9.0}},
         {"family": None, "params": {}},
+        {"family": "P1", "params": {"xi": "0.7", "eta": 1.3}},
+        {"family": "P1", "params": {"xi": 0.7, "eta": True}},
     ],
     ids=[
         "unknown-param", "non-numeric-param", "params-string", "params-list", "family-P9",
         "first-number", "second-null", "first-list", "param-too-large",
         "long-family", "long-param-value", "long-param-name",
         "params-off-family", "family-relabelled", "param-out-of-range", "params-missing",
-        "params-without-family", "empty-params-without-family",
+        "params-without-family", "empty-params-without-family", "param-string", "param-bool",
     ],
 )
 def test_verify_rejects_malformed_pair_metadata(tmp_path, capsys, patch):
@@ -427,8 +434,15 @@ def _not_unit(clusters):
     clusters[1]["vector"][0][0] *= 1.001
 
 
+def _bool_parts(clusters):
+    # As numbers these would be the unit vectors (1, 0) and (0, 1).
+    clusters[0]["vector"] = [[True, False], [False, False]]
+    clusters[1]["vector"] = [[False, False], [1, 0]]
+
+
 @pytest.mark.parametrize(
-    "mutate", [_drop_vector, _ragged, _not_a_pair, _not_numbers, _too_large, _huge_entry, _not_unit]
+    "mutate",
+    [_drop_vector, _ragged, _not_a_pair, _not_numbers, _too_large, _huge_entry, _not_unit, _bool_parts],
 )
 def test_ortho_graph_rejects_malformed_clusters(tmp_path, capsys, mutate):
     pair = MUPair(hw_eigenbasis(2, "z"), hw_eigenbasis(2, "x"))
@@ -559,3 +573,30 @@ def test_malformed_inputs_keep_the_error_contract(tmp_path, capsys):
             elif code == 1:
                 payload = json.loads(err)
                 assert payload["error"] and payload["message"], (i, argv[0])
+
+
+def test_malformed_scripts_raise_format_error(tmp_path, capsys):
+    # Seeded mutations of the four scripts `reduce --emit-script` writes, read
+    # as the library reads a script file: a FormatError is the only error.
+    from mub6 import FormatError
+    from mub6.serialize import script_from_dict
+
+    scripts = []
+    for i, family_args in enumerate(_FAMILY_ARGS):
+        script_file = tmp_path / f"s{i}.json"
+        code, _, _ = run_cli(capsys, "reduce", "--family", *family_args, "--emit-script", str(script_file))
+        assert code == 0
+        scripts.append(json.loads(script_file.read_text()))
+    # The P0 script has no moves, so no matrix text or number to mutate.
+    no_payload = ("drop", "retype", "truncate", "nest", "utf8")
+    rng = random.Random(20240612)
+    for i in range(240):
+        data = scripts[i % 4]
+        kinds = _FUZZ_KINDS if data["moves"] else no_payload
+        raw = _fuzz_case(rng, kinds[i // 4 % len(kinds)], data)
+        try:
+            script_from_dict(load_json(raw.decode("utf-8", errors="replace")))
+        except FormatError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"case {i}: {exc!r} escaped")

@@ -25,6 +25,7 @@ from mub6 import (
     reduce_P2,
     reduce_P3,
 )
+from mub6.serialize import script_from_dict, script_to_dict
 
 OMEGA_ANGLES = (0.0, 2 * np.pi / 3, 4 * np.pi / 3)
 
@@ -45,7 +46,7 @@ def test_apply_script_empty_and_swap():
     assert np.array_equal(same.first.matrix, pair.first.matrix)
     assert np.array_equal(same.second.matrix, pair.second.matrix)
 
-    swapped = apply_script(pair, TransformScript((Move.swap_members(),)))
+    swapped = apply_script(pair, TransformScript((Move("swap-members"),)))
     assert np.array_equal(swapped.first.matrix, pair.second.matrix)
     assert np.array_equal(swapped.second.matrix, pair.first.matrix)
 
@@ -53,7 +54,7 @@ def test_apply_script_empty_and_swap():
 def test_apply_script_left_unitary():
     pair = p0_pair()
     ft = pair.second.matrix
-    out = apply_script(pair, TransformScript((Move.left_unitary(ft.conj().T),)))
+    out = apply_script(pair, TransformScript((Move("left-unitary", matrix=ft.conj().T),)))
     assert np.abs(out.first.matrix - ft.conj().T).max() < 1e-14
     assert np.abs(out.second.matrix - np.eye(6)).max() <= EQ_TOL
 
@@ -61,15 +62,52 @@ def test_apply_script_left_unitary():
 def test_move_validation():
     pair = p0_pair()
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move.permute_rows((0, 0, 1, 2, 3, 4)),)))
+        apply_script(pair, TransformScript((Move("permute-rows", perm=(0, 0, 1, 2, 3, 4)),)))
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move.left_unitary(np.ones((6, 6))),)))
+        apply_script(pair, TransformScript((Move("left-unitary", matrix=np.ones((6, 6))),)))
     with pytest.raises(InvalidMoveError):
         apply_script(pair, TransformScript((Move("permute-cols", perm=(0, 1, 2, 3, 4, 5)),)))
     with pytest.raises(InvalidMoveError):
         apply_script(pair, TransformScript((Move("no-such-kind"),)))
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move.left_diag_phase((0.0,)),)))
+        apply_script(pair, TransformScript((Move("left-diag-phase", phases=(0.0,)),)))
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        ("permute-rows", {"perm": (0.9, 1.7, 2, 3, 4, 5)}),
+        ("permute-rows", {"perm": (1.0, 0, 2, 3, 4, 5)}),
+        ("permute-cols", {"member": "first", "perm": [True, False, 2, 3, 4, 5]}),
+        ("permute-rows", {"perm": ("1", 0, 2, 3, 4, 5)}),
+        ("left-diag-phase", {"phases": ["0.5"] * 6}),
+        ("left-diag-phase", {"phases": [True] + [0.0] * 5}),
+        ("right-diag-phase", {"member": "second", "phases": [float("nan")] + [0.0] * 5}),
+        ("bogus", {}),
+        (None, {}),
+        ("swap-members", {"perm": (1, 0)}),
+        ("permute-rows", {"member": "first", "perm": (0, 1, 2, 3, 4, 5)}),
+        ("right-diag-phase", {"member": "third", "phases": [0.0] * 6}),
+        ("left-unitary", {"matrix": np.eye(6)[:, :5]}),
+        ("left-unitary", {"matrix": 1.5 * np.eye(6)}),
+    ],
+    ids=[
+        "perm-float", "perm-whole-float", "perm-bool", "perm-string",
+        "phase-string", "phase-bool", "phase-nan", "unknown-kind", "no-kind",
+        "swap-members-with-perm", "permute-rows-with-member", "bad-member",
+        "matrix-not-square", "matrix-not-unitary",
+    ],
+)
+def test_move_is_checked_when_built(kind, fields):
+    with pytest.raises(InvalidMoveError):
+        Move(kind, **fields)
+
+
+def test_move_stores_plain_tuples():
+    move = Move("permute-cols", "second", perm=np.array([1, 0, 2, 3, 4, 5]))
+    assert move.perm == (1, 0, 2, 3, 4, 5) and all(type(i) is int for i in move.perm)
+    move = Move("left-diag-phase", phases=np.linspace(0.0, 1.0, 6))
+    assert all(type(p) is float for p in move.phases)
 
 
 def test_apply_script_checks_mu_after_every_move():
@@ -77,7 +115,7 @@ def test_apply_script_checks_mu_after_every_move():
     # first member's column norm drifts by 8e-11 per move until the pair
     # fails MU_TOL.
     u = np.diag([1 + 4e-11, 1, 1, 1, 1, 1])
-    script = TransformScript((Move.left_unitary(u),) * 200)
+    script = TransformScript((Move("left-unitary", matrix=u),) * 200)
     with pytest.raises(InvalidMoveError, match=r"^move 37 \(left-unitary\) broke mutual unbiasedness"):
         apply_script(p0_pair(), script)
 
@@ -100,8 +138,8 @@ def test_script_replay_is_bit_stable():
 
 def test_script_json_round_trip():
     _, script = reduce_P2()
-    data = script.to_json_dict()
-    back = TransformScript.from_json_dict(data)
+    data = script_to_dict(script)
+    back = script_from_dict(data)
     pair = make_family_pair("P2")
     out1 = apply_script(pair, script)
     out2 = apply_script(pair, back)
@@ -131,11 +169,19 @@ def test_script_json_round_trip():
         {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": ["0.5"] * 6}]},
         {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": [True] + [0.0] * 5}]},
         {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": [10**400] + [0.0] * 5}]},
+        # No 'moves' key, an unknown kind, and fields or keys a kind does not take.
+        {"move": [{"kind": "swap-members"}]},
+        {"moves": [{"kind": "bogus"}]},
+        {"moves": [{"kind": "swap-members", "perm": [1, 2]}]},
+        {"moves": [{"kind": "permute-rows", "member": "first", "perm": [1, 2, 3, 4, 5, 6]}]},
+        {"moves": [{"kind": "left-diag-phase", "phases": [0.0] * 6}]},
+        {"moves": [{"kind": "swap-members", "note": "x"}]},
+        {"moves": [{"kind": "left-unitary", "matrix": "2 2\n1+0j 0+0j\n0+0j 2+0j\n"}]},
     ],
 )
 def test_script_reader_raises_format_error(data):
     with pytest.raises(FormatError):
-        TransformScript.from_json_dict(data)
+        script_from_dict(data)
 
 
 def test_dephase():
@@ -343,4 +389,4 @@ def test_intermediate_mu_invariant_is_enforced():
     bad = np.eye(6)
     bad = bad * 1.5
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move.left_unitary(bad),)))
+        apply_script(pair, TransformScript((Move("left-unitary", matrix=bad),)))
