@@ -19,7 +19,6 @@ from .bases import (
 from .equivalence import (
     HadamardFingerprint,
     Move,
-    TransformScript,
     apply_script,
     dephase,
     fourier_family,
@@ -58,7 +57,6 @@ from .linalg import (
     format_matrix,
     is_unitary,
     parse_matrix,
-    tensor_product,
 )
 from .search import (
     ExtensionResult,

@@ -28,7 +28,7 @@ if TYPE_CHECKING:
 class ProductLabel:
     """Provenance of one product vector: its C^2 and C^3 tensor factors.
 
-    The stored factors are exact states; tensor_product(factor2, factor3)
+    The stored factors are exact states; vector(), their Kronecker product,
     reproduces the labelled basis column. The name is informational.
     """
 
@@ -47,7 +47,7 @@ class ProductLabel:
         object.__setattr__(self, "factor3", _freeze(f3))
 
     def vector(self) -> np.ndarray:
-        # tensor_product without re-checking the factors, frozen once above.
+        # The factors were checked and frozen once above.
         return np.multiply.outer(self.factor2, self.factor3).ravel()
 
 

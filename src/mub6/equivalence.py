@@ -5,6 +5,7 @@ families to the standard forms {I, F(xi, eta)} and {I, S6}."""
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ _KIND_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Move:
     """One elementary equivalence move on a pair of bases.
 
@@ -36,7 +37,8 @@ class Move:
     moves ("permute-cols", "right-diag-phase") carry member "first" or
     "second"; row operations and left multiplications act on both members.
     A move is checked once, when it is built; apply_script adds only its size
-    against the pair's dimension and the MU check after it.
+    against the pair's dimension and the MU check after it. Moves compare and
+    hash by value, matrix entries by ==. A script is a tuple of moves.
     """
 
     kind: str
@@ -71,6 +73,16 @@ class Move:
                 raise InvalidMoveError("left-unitary needs a square matrix, unitary within EQ_TOL")
             object.__setattr__(self, "matrix", matrix)
 
+    def _key(self) -> tuple:
+        matrix = None if self.matrix is None else tuple(self.matrix.ravel().tolist())
+        return self.kind, self.member, self.perm, self.phases, matrix
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if isinstance(other, Move) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
 
 def _entries(move: Move, name: str, types, convert) -> tuple:
     """The entries of one of the move's fields, converted; they must all be
@@ -79,19 +91,6 @@ def _entries(move: Move, name: str, types, convert) -> tuple:
     if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
         raise InvalidMoveError(f"move {move.kind} needs {name} as a sequence of numbers")
     return tuple(convert(v) for v in values)
-
-
-@dataclass(frozen=True)
-class TransformScript:
-    """Replayable ordered list of moves."""
-
-    moves: tuple[Move, ...] = ()
-
-    def __iter__(self):
-        return iter(self.moves)
-
-    def __len__(self) -> int:
-        return len(self.moves)
 
 
 def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +133,7 @@ def _apply_checked(m1: np.ndarray, m2: np.ndarray, move: Move, idx: int) -> tupl
     return m1, m2
 
 
-def apply_script(pair: MUPair, script: TransformScript) -> MUPair:
+def apply_script(pair: MUPair, script: Sequence[Move]) -> MUPair:
     """Replay a script on a pair, checking the MU invariant after every move."""
     m1, m2 = pair.first.matrix, pair.second.matrix
     for idx, move in enumerate(script):
@@ -156,27 +155,31 @@ def _assert_hadamard(h: np.ndarray) -> int:
     return d
 
 
-def dephase(h) -> tuple[np.ndarray, TransformScript]:
+def _replay(m1: np.ndarray, m2: np.ndarray, moves) -> tuple[np.ndarray, np.ndarray]:
+    """The pair (m1, m2) after the moves, unchecked."""
+    for move in moves:
+        m1, m2 = _apply_raw(m1, m2, move)
+    return m1, m2
+
+
+def dephase(h) -> tuple[np.ndarray, tuple[Move, ...]]:
     """Normalize a Hadamard so its first row and column are real positive.
 
     Returns the dephased matrix and a script that, applied to the pair
     {I, H}, yields {I, dephased H}: column phases on the second member, row
-    phases on both, and the column phases that restore the first member.
+    phases on both, and the column phases that restore the first member. The
+    matrix is the second member of that replay.
     """
     m = as_matrix(h)
-    _assert_hadamard(m)
-    col_angles = -np.angle(m[0, :])
-    m1 = m * np.exp(1j * col_angles)[None, :]
-    row_angles = -np.angle(m1[:, 0])
-    m2 = np.exp(1j * row_angles)[:, None] * m1
-    script = TransformScript(
-        (
-            Move("right-diag-phase", "second", phases=col_angles),
-            Move("left-diag-phase", phases=row_angles),
-            Move("right-diag-phase", "first", phases=-row_angles),
-        )
+    eye = np.eye(_assert_hadamard(m), dtype=np.complex128)
+    cols = Move("right-diag-phase", "second", phases=-np.angle(m[0, :]))
+    eye, m = _apply_raw(eye, m, cols)
+    row_angles = -np.angle(m[:, 0])
+    rows = (
+        Move("left-diag-phase", phases=row_angles),
+        Move("right-diag-phase", "first", phases=-row_angles),
     )
-    return m2, script
+    return _replay(eye, m, rows)[1], (cols, *rows)
 
 
 def _restore_first_moves(m1: np.ndarray) -> list[Move]:
@@ -193,32 +196,27 @@ def _restore_first_moves(m1: np.ndarray) -> list[Move]:
         raise InvalidMoveError("first member is not the identity basis up to column phases")
     # m1[:, k] = e^{i theta_k} e_{pi(k)}; putting column sigma(i) at slot i
     # with sigma = pi^{-1} leaves diag phases, undone by their conjugates.
-    pi = witness.permutation
-    sigma = [0] * d
-    for k, target in enumerate(pi):
-        sigma[target] = k
+    sigma = np.argsort(witness.permutation)
     moves: list[Move] = []
-    if sigma != list(range(d)):
+    if (sigma != np.arange(d)).any():
         moves.append(Move("permute-cols", "first", perm=sigma))
-    undo = [-witness.phases[sigma[i]] for i in range(d)]
-    if any(abs(a) > 1e-15 for a in undo):
+    undo = -np.asarray(witness.phases)[sigma]
+    if np.abs(undo).max() > 1e-15:
         moves.append(Move("right-diag-phase", "first", phases=undo))
     return moves
 
 
-def reduce_P1(xi: float, eta: float) -> tuple[MUPair, TransformScript]:
+def reduce_P1(xi: float, eta: float) -> tuple[MUPair, tuple[Move, ...]]:
     """Bring the P1 pair {I, Ftilde(xi,eta)^T} to the form {I, Ftilde(xi,eta)}.
 
     Three moves: left-multiply by the adjoint of the second member, conjugate
     the pair, swap the members.
     """
     pair = make_family_pair("P1", FamilyParams(xi=xi, eta=eta))
-    script = TransformScript(
-        (
-            Move("left-unitary", matrix=pair.second.matrix.conj().T),
-            Move("conjugate-both"),
-            Move("swap-members"),
-        )
+    script = (
+        Move("left-unitary", matrix=pair.second.matrix.conj().T),
+        Move("conjugate-both"),
+        Move("swap-members"),
     )
     return apply_script(pair, script), script
 
@@ -230,23 +228,19 @@ _FOURIER_ROW_PERM = (0, 4, 2, 3, 1, 5)
 _FOURIER_COL_PERM = (0, 5, 1, 3, 2, 4)
 
 
-def ftilde_to_fourier(xi: float, eta: float) -> tuple[np.ndarray, TransformScript]:
+def ftilde_to_fourier(xi: float, eta: float) -> tuple[np.ndarray, tuple[Move, ...]]:
     """Permute Ftilde(xi, eta) into the Fourier-family Hadamard F(xi, eta).
 
     The returned script acts on the pair {I, Ftilde}: the row swap is undone
     on the first member by the matching column swap, so the pair maps to
-    {I, F(xi, eta)}.
+    {I, F(xi, eta)}. The matrix is the second member of that replay.
     """
-    ft = make_Ftilde(xi, eta)
-    out = ft[np.asarray(_FOURIER_ROW_PERM), :][:, np.asarray(_FOURIER_COL_PERM)]
-    script = TransformScript(
-        (
-            Move("permute-rows", perm=_FOURIER_ROW_PERM),
-            Move("permute-cols", "first", perm=_FOURIER_ROW_PERM),
-            Move("permute-cols", "second", perm=_FOURIER_COL_PERM),
-        )
+    script = (
+        Move("permute-rows", perm=_FOURIER_ROW_PERM),
+        Move("permute-cols", "first", perm=_FOURIER_ROW_PERM),
+        Move("permute-cols", "second", perm=_FOURIER_COL_PERM),
     )
-    return out, script
+    return _replay(np.eye(6, dtype=np.complex128), make_Ftilde(xi, eta), script)[1], script
 
 
 def fourier_family(xi: float, eta: float) -> np.ndarray:
@@ -255,7 +249,7 @@ def fourier_family(xi: float, eta: float) -> np.ndarray:
     return ftilde_to_fourier(xi, eta)[0]
 
 
-def reduce_P3(zeta: float, chi: float, sigma: float, tau: float) -> tuple[MUPair, TransformScript]:
+def reduce_P3(zeta: float, chi: float, sigma: float, tau: float) -> tuple[MUPair, tuple[Move, ...]]:
     """Reduce {Itilde(zeta,chi), Ftilde(sigma,tau)} to {I, Ftilde(sigma-zeta, tau-chi)}.
 
     A single left multiplication by [[I, 0], [0, S^dagger]] maps the first
@@ -264,11 +258,11 @@ def reduce_P3(zeta: float, chi: float, sigma: float, tau: float) -> tuple[MUPair
     pair = make_family_pair("P3", FamilyParams(zeta=zeta, chi=chi, sigma=sigma, tau=tau))
     zero = np.zeros((3, 3))
     u = np.block([[np.eye(3), zero], [zero, make_S(zeta, chi).conj().T]])
-    script = TransformScript((Move("left-unitary", matrix=u),))
+    script = (Move("left-unitary", matrix=u),)
     return apply_script(pair, script), script
 
 
-def reduce_P2() -> tuple[MUPair, TransformScript]:
+def reduce_P2() -> tuple[MUPair, tuple[Move, ...]]:
     """Reduce the parameter-free P2 pair to {I, S6}.
 
     Fixed move order: left-multiply by [[I, 0], [0, i Hy^dagger]], restore the
@@ -307,7 +301,7 @@ def reduce_P2() -> tuple[MUPair, TransformScript]:
     first_dev = float(np.abs(m1 - np.eye(6)).max())
     if first_dev > EQ_TOL:
         raise InvalidMoveError(f"P2 reduction failed to restore the identity ({first_dev:.3e})")
-    return MUPair(Basis(m1), Basis(m2)), TransformScript(tuple(moves))
+    return MUPair(Basis(m1), Basis(m2)), tuple(moves)
 
 
 @dataclass(frozen=True)
@@ -323,9 +317,6 @@ class HadamardFingerprint:
 
     quantum: float
     classes: tuple[tuple[tuple[int, int], int], ...]
-
-    def values(self) -> tuple[complex, ...]:
-        return tuple(complex(re * self.quantum, im * self.quantum) for (re, im), _ in self.classes)
 
     def digest(self) -> str:
         import hashlib  # only here, so the other commands never load OpenSSL
@@ -352,14 +343,10 @@ def haagerup_fingerprint(h) -> HadamardFingerprint:
     flat = products.reshape(-1)
     re = np.rint(flat.real / quantum).astype(np.int64)
     im = np.rint(flat.imag / quantum).astype(np.int64)
-    # Group equal (re, im) keys in lexicographic order: sort, then cut the
-    # runs where either component changes.
-    order = np.lexsort((im, re))
-    re, im = re[order], im[order]
-    starts = np.flatnonzero(np.r_[True, (re[1:] != re[:-1]) | (im[1:] != im[:-1])])
-    counts = np.diff(np.r_[starts, re.size])
-    classes = tuple(
-        ((r, i), c) for r, i, c in zip(re[starts].tolist(), im[starts].tolist(), counts.tolist())
-    )
+    # Complex keys sort by real part, then imaginary part; both are exact
+    # integers well below 2**53.
+    keys, counts = np.unique(re + 1j * im, return_counts=True)
+    re, im = keys.real.astype(np.int64).tolist(), keys.imag.astype(np.int64).tolist()
+    classes = tuple(((r, i), c) for r, i, c in zip(re, im, counts.tolist()))
     return HadamardFingerprint(quantum=quantum, classes=classes)
 

@@ -55,20 +55,6 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def tensor_product(u, v) -> np.ndarray:
-    """Tensor product of a C^2/C^3 vector with a C^2/C^3 vector.
-
-    Component i*n + j of the result equals u[i] * v[j].
-    """
-    a = as_vector(u)
-    b = as_vector(v)
-    if a.shape[0] not in (2, 3) or b.shape[0] not in (2, 3):
-        raise DimensionError(
-            f"tensor factors must have dimension 2 or 3, got {a.shape[0]} and {b.shape[0]}"
-        )
-    return np.multiply.outer(a, b).ravel()
-
-
 def _gram_defect(a: np.ndarray) -> tuple[float, int, int] | None:
     """Largest |A^dagger A - I| entry and its index, or None if all are <= EQ_TOL."""
     dev = np.abs(a.conj().T @ a - np.eye(a.shape[0]))

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
 from .bases import Basis, MUPair
-from .equivalence import Move, TransformScript
+from .equivalence import Move
 from .errors import FormatError, InvalidMoveError, ParameterRangeError
 from .families import _PARAM_NAMES, FAMILY_IDS, FamilyParams, validate_family_params
 from .linalg import TAU, _quote, format_matrix, parse_matrix
@@ -81,7 +82,7 @@ def pair_from_dict(data: dict) -> MUPair:
         raise FormatError(f"pair JSON 'params' do not fit its family: {exc}") from exc
 
 
-def script_to_dict(script: TransformScript) -> dict:
+def script_to_dict(script: Sequence[Move]) -> dict:
     moves = []
     for move in script:
         fields = {
@@ -95,14 +96,14 @@ def script_to_dict(script: TransformScript) -> dict:
     return {"moves": moves}
 
 
-def script_from_dict(data: dict) -> TransformScript:
+def script_from_dict(data: dict) -> tuple[Move, ...]:
     """The script script_to_dict wrote as data. A move that Move refuses, an
     unknown key or a missing 'moves' list is a FormatError."""
     moves = data.get("moves") if isinstance(data, dict) else None
     if not isinstance(moves, list) or not all(isinstance(m, dict) for m in moves):
         raise FormatError("script JSON must be an object with a 'moves' list of objects")
     try:
-        return TransformScript(tuple(_move_from_dict(m) for m in moves))
+        return tuple(_move_from_dict(m) for m in moves)
     except InvalidMoveError as exc:
         raise FormatError(f"script JSON has a bad move: {exc}") from exc
 

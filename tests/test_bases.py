@@ -23,7 +23,6 @@ from mub6 import (
     make_S,
     product_basis,
     same_basis_up_to_phase,
-    tensor_product,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -144,6 +143,18 @@ def test_product_basis_rejects_non_orthogonal():
     with pytest.raises(NotABasisError) as err:
         product_basis(labels)
     assert "dup" in str(err.value)
+
+
+def test_basis_boundaries():
+    with pytest.raises(NotABasisError, match="square"):
+        Basis(np.eye(3)[:, :2])
+    e2, e3 = np.eye(2), np.eye(3)
+    labels = [ProductLabel(e2[:, j], e3[:, k]) for j in range(2) for k in range(3)]
+    with pytest.raises(NotABasisError, match="5 labels"):
+        Basis(np.eye(6), labels=labels[:5])
+    with pytest.raises(NotABasisError, match="6 labels, got 5"):
+        product_basis(labels[:5])
+    assert same_basis_up_to_phase(np.eye(2), np.eye(3)) is None
 
 
 def test_is_mu_pair_reports():
@@ -287,7 +298,8 @@ def test_pair_params_need_a_family():
 
 def test_tensor_label_vector():
     lab = ProductLabel([1, 0], [0, 1, 0], name="|0_z,1_z>")
-    assert np.array_equal(lab.vector(), tensor_product([1, 0], [0, 1, 0]))
+    assert np.array_equal(lab.vector(), np.kron([1, 0], [0, 1, 0]))
+    assert np.array_equal(lab.vector(), np.eye(6)[1])
 
 
 def test_eigenbases_are_shared_and_read_only():

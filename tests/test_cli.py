@@ -176,9 +176,20 @@ def test_verify_rejects_non_mu_pair(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text(dump_json(bad))
     code, out, err = run_cli(capsys, "verify", "--pair", str(f))
-    assert code == 1
+    assert code == 1 and out == ""
     payload = json.loads(err)
     assert payload["error"] == "NotMUPairError"
+
+
+def test_verify_and_fingerprint_reject_wrong_shapes(tmp_path, capsys):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "verify", "--pair", str(listed))
+    assert (code, out, json.loads(err)["error"]) == (1, "", "FormatError")
+    rect = tmp_path / "rect.txt"
+    rect.write_text(format_matrix(np.ones((2, 3)) / np.sqrt(2)))
+    code, out, err = run_cli(capsys, "fingerprint", "--matrix", str(rect))
+    assert (code, out, json.loads(err)["error"]) == (1, "", "NotHadamardError")
 
 
 def test_verify_missing_file(capsys):
@@ -531,8 +542,7 @@ _FUZZ_KINDS = ("drop", "retype", "splice", "token", "header", "number", "truncat
 def test_malformed_inputs_keep_the_error_contract(tmp_path, capsys):
     # Seeded mutations of a valid pair file and a valid vector file, each read
     # by every command that takes a file: nothing may escape run(), and every
-    # exit 1 explains itself in JSON on stderr (verify's mu_ok: false report on
-    # stdout aside).
+    # exit 1 explains itself in JSON on stderr.
     pair_file = tmp_path / "p0.json"
     vectors_file = tmp_path / "vectors.json"
     assert run_cli(capsys, "construct", "--family", "P0", "--out", str(pair_file))[0] == 0
@@ -568,9 +578,7 @@ def test_malformed_inputs_keep_the_error_contract(tmp_path, capsys):
                 pytest.fail(f"case {i}, {argv[0]}: {exc!r} escaped")
             out, err = capsys.readouterr()
             assert code in (0, 1), (i, argv[0], code)
-            if code == 1 and argv[0] == "verify" and not err:
-                assert json.loads(out)["mu_ok"] is False
-            elif code == 1:
+            if code == 1:
                 payload = json.loads(err)
                 assert payload["error"] and payload["message"], (i, argv[0])
 

@@ -11,7 +11,6 @@ from mub6 import (
     Move,
     MUPair,
     NotHadamardError,
-    TransformScript,
     apply_script,
     dephase,
     fourier_family,
@@ -42,11 +41,11 @@ def p0_pair():
 
 def test_apply_script_empty_and_swap():
     pair = p0_pair()
-    same = apply_script(pair, TransformScript())
+    same = apply_script(pair, ())
     assert np.array_equal(same.first.matrix, pair.first.matrix)
     assert np.array_equal(same.second.matrix, pair.second.matrix)
 
-    swapped = apply_script(pair, TransformScript((Move("swap-members"),)))
+    swapped = apply_script(pair, (Move("swap-members"),))
     assert np.array_equal(swapped.first.matrix, pair.second.matrix)
     assert np.array_equal(swapped.second.matrix, pair.first.matrix)
 
@@ -54,7 +53,7 @@ def test_apply_script_empty_and_swap():
 def test_apply_script_left_unitary():
     pair = p0_pair()
     ft = pair.second.matrix
-    out = apply_script(pair, TransformScript((Move("left-unitary", matrix=ft.conj().T),)))
+    out = apply_script(pair, (Move("left-unitary", matrix=ft.conj().T),))
     assert np.abs(out.first.matrix - ft.conj().T).max() < 1e-14
     assert np.abs(out.second.matrix - np.eye(6)).max() <= EQ_TOL
 
@@ -62,15 +61,15 @@ def test_apply_script_left_unitary():
 def test_move_validation():
     pair = p0_pair()
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move("permute-rows", perm=(0, 0, 1, 2, 3, 4)),)))
+        apply_script(pair, (Move("permute-rows", perm=(0, 0, 1, 2, 3, 4)),))
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move("left-unitary", matrix=np.ones((6, 6))),)))
+        apply_script(pair, (Move("left-unitary", matrix=np.ones((6, 6))),))
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move("permute-cols", perm=(0, 1, 2, 3, 4, 5)),)))
+        apply_script(pair, (Move("permute-cols", perm=(0, 1, 2, 3, 4, 5)),))
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move("no-such-kind"),)))
+        apply_script(pair, (Move("no-such-kind"),))
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move("left-diag-phase", phases=(0.0,)),)))
+        apply_script(pair, (Move("left-diag-phase", phases=(0.0,)),))
 
 
 @pytest.mark.parametrize(
@@ -110,12 +109,26 @@ def test_move_stores_plain_tuples():
     assert all(type(p) is float for p in move.phases)
 
 
+def test_moves_and_scripts_compare_and_hash_by_value():
+    for reduce in (lambda: reduce_P1(0.7, 1.3), reduce_P2, lambda: reduce_P3(0.4, 1.1, 0.9, 2.0)):
+        first, second = reduce()[1], reduce()[1]
+        assert first == second and hash(first) == hash(second)
+    move = Move("left-unitary", matrix=np.eye(6))
+    twin = Move("left-unitary", matrix=np.eye(6))
+    assert move == twin and hash(move) == hash(twin)
+    assert move != Move("left-unitary", matrix=-np.eye(6))
+    # Entries compare by ==, so signed zeros are equal and hash alike.
+    plus, minus = (Move("left-diag-phase", phases=(z,) * 6) for z in (0.0, -0.0))
+    assert plus == minus and hash(plus) == hash(minus)
+    assert Move("swap-members") != Move("conjugate-both") and Move("swap-members") != "swap-members"
+
+
 def test_apply_script_checks_mu_after_every_move():
     # Each move passes is_unitary (|1 - (1 + 4e-11)^2| < EQ_TOL), but the
     # first member's column norm drifts by 8e-11 per move until the pair
     # fails MU_TOL.
     u = np.diag([1 + 4e-11, 1, 1, 1, 1, 1])
-    script = TransformScript((Move("left-unitary", matrix=u),) * 200)
+    script = (Move("left-unitary", matrix=u),) * 200
     with pytest.raises(InvalidMoveError, match=r"^move 37 \(left-unitary\) broke mutual unbiasedness"):
         apply_script(p0_pair(), script)
 
@@ -144,6 +157,7 @@ def test_script_json_round_trip():
     out1 = apply_script(pair, script)
     out2 = apply_script(pair, back)
     assert out1.second.matrix.tobytes() == out2.second.matrix.tobytes()
+    assert back == script
     # Serialized permutations are 1-based.
     kinds = [m["kind"] for m in data["moves"]]
     assert "left-unitary" in kinds
@@ -298,8 +312,8 @@ def test_s6_is_not_in_the_fourier_family():
 def test_fingerprint_f3_values():
     fp = haagerup_fingerprint(hw_eigenbasis(3, "x").matrix)
     roots = [np.exp(1j * a) for a in OMEGA_ANGLES]
-    for value in fp.values():
-        assert min(abs(value - r) for r in roots) < 1e-7
+    for (re, im), _ in fp.classes:
+        assert min(abs(complex(re, im) * fp.quantum - r) for r in roots) < 1e-7
 
 
 def test_fingerprint_invariance_under_random_moves():
@@ -380,6 +394,8 @@ def test_fingerprint_class_order_breaks_ties_on_imaginary_part():
 def test_fingerprint_rejects_non_hadamard():
     with pytest.raises(NotHadamardError):
         haagerup_fingerprint(np.eye(6))
+    with pytest.raises(NotHadamardError, match="square"):
+        haagerup_fingerprint(np.ones((2, 3)) / np.sqrt(2))
 
 
 def test_intermediate_mu_invariant_is_enforced():
@@ -389,4 +405,4 @@ def test_intermediate_mu_invariant_is_enforced():
     bad = np.eye(6)
     bad = bad * 1.5
     with pytest.raises(InvalidMoveError):
-        apply_script(pair, TransformScript((Move("left-unitary", matrix=bad),)))
+        apply_script(pair, (Move("left-unitary", matrix=bad),))

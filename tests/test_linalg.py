@@ -5,12 +5,13 @@ from mub6 import (
     EQ_TOL,
     OMEGA,
     DimensionError,
+    FormatError,
+    ProductLabel,
     format_matrix,
     hw_eigenbasis,
     is_unitary,
     make_Ftilde,
     parse_matrix,
-    tensor_product,
 )
 
 RNG = np.random.default_rng(7)
@@ -21,42 +22,43 @@ def random_unit(dim, rng=RNG):
     return z / np.linalg.norm(z)
 
 
+def tensor(u, v):
+    """The tensor product u (x) v, as ProductLabel.vector() computes it."""
+    return ProductLabel(u, v).vector()
+
+
 def test_tensor_product_standard_cases():
-    assert np.allclose(
-        tensor_product([1, 0], [1, 0, 0]), [1, 0, 0, 0, 0, 0]
-    )
+    assert np.array_equal(tensor([1, 0], [1, 0, 0]), [1, 0, 0, 0, 0, 0])
     s = 1 / np.sqrt(2)
-    assert np.allclose(
-        tensor_product([s, s], [1, 0, 0]), [s, 0, 0, s, 0, 0]
-    )
-    assert np.allclose(
-        tensor_product([0, 1], [0, 0, 1]), [0, 0, 0, 0, 0, 1]
-    )
+    assert np.array_equal(tensor([s, s], [1, 0, 0]), [s, 0, 0, s, 0, 0])
+    assert np.array_equal(tensor([0, 1], [0, 0, 1]), [0, 0, 0, 0, 0, 1])
 
 
 def test_tensor_product_rejects_bad_dims():
     with pytest.raises(DimensionError):
-        tensor_product([1, 0, 0, 0], [1, 0])
+        tensor([1, 0, 0, 0], [1, 0])
     with pytest.raises(DimensionError):
-        tensor_product([1], [1, 0])
+        tensor([1], [1, 0])
+    with pytest.raises(DimensionError):
+        tensor([[1, 0]], [1, 0, 0])
+    with pytest.raises(DimensionError):
+        tensor([1, 0], [[1, 0, 0]])
 
 
 def test_tensor_product_preserves_inner_products():
     for _ in range(50):
         u, u2 = random_unit(2), random_unit(2)
         v, v2 = random_unit(3), random_unit(3)
-        lhs = np.vdot(tensor_product(u, v), tensor_product(u2, v2))
+        lhs = np.vdot(tensor(u, v), tensor(u2, v2))
         rhs = np.vdot(u, u2) * np.vdot(v, v2)
         assert abs(lhs - rhs) <= EQ_TOL
 
 
 def test_tensor_product_matches_kron_bit_for_bit():
     rng = np.random.default_rng(11)
-    for m, n in ((2, 3), (3, 2), (2, 2), (3, 3)):
-        for _ in range(10):
-            a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            assert tensor_product(a, b).tobytes() == np.kron(a, b).tobytes()
+    for _ in range(40):
+        a, b = random_unit(2, rng), random_unit(3, rng)
+        assert tensor(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
 def test_is_unitary():
@@ -68,6 +70,8 @@ def test_is_unitary():
     assert not is_unitary(broken)
     with pytest.raises(DimensionError):
         is_unitary(np.ones((2, 3)))
+    with pytest.raises(FormatError):
+        is_unitary([[np.inf]])
 
 
 def test_is_unitary_invariant_under_moves():
