@@ -65,7 +65,6 @@ from .search import (
     SearchConfig,
     find_extension_basis,
     find_mu_vectors,
-    mu_residual,
     orthogonality_graph,
 )
 

@@ -112,9 +112,6 @@ class MUCheck:
     worst_deviation: float
     worst_index: tuple[int, int]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class MUPair:

@@ -13,7 +13,7 @@ import numpy as np
 from .bases import Basis, MUPair, hw_eigenbasis, is_mu_pair, same_basis_up_to_phase
 from .errors import InvalidMoveError, NotHadamardError
 from .families import make_family_pair, make_Ftilde, make_S, FamilyParams
-from .linalg import EQ_TOL, OMEGA2, _freeze, _quote, as_matrix, is_unitary
+from .linalg import EQ_TOL, OMEGA2, _quote, as_matrix, is_unitary
 
 
 # The fields each move kind takes besides its kind.
@@ -28,7 +28,7 @@ _KIND_FIELDS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Move:
     """One elementary equivalence move on a pair of bases.
 
@@ -37,15 +37,16 @@ class Move:
     moves ("permute-cols", "right-diag-phase") carry member "first" or
     "second"; row operations and left multiplications act on both members.
     A move is checked once, when it is built; apply_script adds only its size
-    against the pair's dimension and the MU check after it. Moves compare and
-    hash by value, matrix entries by ==. A script is a tuple of moves.
+    against the pair's dimension and the MU check after it. Fields are plain
+    tuples, a matrix a tuple of row tuples of complex numbers, so moves compare
+    and hash by value, entries by ==. A script is a tuple of moves.
     """
 
     kind: str
     member: str | None = None
     perm: tuple[int, ...] | None = None
     phases: tuple[float, ...] | None = None
-    matrix: np.ndarray | None = None
+    matrix: tuple[tuple[complex, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         try:
@@ -68,20 +69,10 @@ class Move:
                 raise InvalidMoveError(f"move {self.kind} has non-finite phases")
             object.__setattr__(self, "phases", phases)
         if self.matrix is not None:
-            matrix = _freeze(as_matrix(self.matrix))
+            matrix = as_matrix(self.matrix)
             if matrix.shape[0] != matrix.shape[1] or not is_unitary(matrix):
                 raise InvalidMoveError("left-unitary needs a square matrix, unitary within EQ_TOL")
-            object.__setattr__(self, "matrix", matrix)
-
-    def _key(self) -> tuple:
-        matrix = None if self.matrix is None else tuple(self.matrix.ravel().tolist())
-        return self.kind, self.member, self.perm, self.phases, matrix
-
-    def __eq__(self, other) -> bool:
-        return self._key() == other._key() if isinstance(other, Move) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+            object.__setattr__(self, "matrix", tuple(map(tuple, matrix.tolist())))
 
 
 def _entries(move: Move, name: str, types, convert) -> tuple:
@@ -106,7 +97,8 @@ def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, 
         lam = np.exp(1j * np.asarray(move.phases))
         return lam[:, None] * m1, lam[:, None] * m2
     if kind == "left-unitary":
-        return move.matrix @ m1, move.matrix @ m2
+        u = np.array(move.matrix)
+        return u @ m1, u @ m2
     if kind == "conjugate-both":
         return m1.conj(), m2.conj()
     if kind == "swap-members":

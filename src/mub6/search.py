@@ -43,6 +43,11 @@ class SearchConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "master_seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise ParameterRangeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.restarts < 1:
             raise ParameterRangeError("restarts must be at least 1")
         if not 0 <= self.master_seed < 2**128:
@@ -86,18 +91,6 @@ class ExtensionResult:
     max_clique_size: int
     vectors: MUVectorSet
     graph: OrthoGraph
-
-
-def mu_residual(v, pair: MUPair) -> float:
-    """Sum over all 2d basis vectors b of (|<v|b>|^2 - 1/d)^2.
-
-    Zero exactly when v is mutually unbiased to both members.
-    """
-    vec = as_vector(v)
-    if vec.shape[0] != pair.dim:
-        raise DimensionError(f"vector has dimension {vec.shape[0]}, pair has {pair.dim}")
-    f, _ = _residual(_overlaps(vec[:, None], pair.basis_vectors().conj()), 1.0 / pair.dim)
-    return float(f[0])
 
 
 def _overlaps(v: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -236,9 +229,11 @@ def _solve_phases(
     phases holds the (d - 1, n) start phases and the returned u is (d, n), one
     column per restart. The d residuals sum to zero, so the system is square.
 
-    At most width restarts are live at once. Each keeps u, the overlaps w,
-    the deviations r and the residual f of its current point, replaced from
-    accepted trials, so an iteration evaluates only its trial. A trial turns
+    At most width restarts are live at once, as one batch: a tuple of
+    per-restart arrays, one column each, holding u, the overlaps w, the
+    deviations r and the residual f of the restart's current point, then its
+    index, its damping and its step count. An iteration evaluates only its
+    trial and copies it into (u, w, r, f) where it is better. A trial turns
     the phases of u by the LM step through _cayley, so u is built from the
     start phases once. A restart retires once its residual is <= stop, its
     damping passes _DAMPING_CAP or it has taken max_iters steps, and its
@@ -255,47 +250,39 @@ def _solve_phases(
         f, r = _residual(w, target)
         return u, w, r, f
 
-    def start(phi: np.ndarray) -> tuple[np.ndarray, ...]:
-        u = np.empty((d, phi.shape[1]), dtype=complex)
+    def start(lo: int, hi: int) -> tuple[np.ndarray, ...]:
+        u = np.empty((d, hi - lo), dtype=complex)
         u[0] = 1.0 / math.sqrt(d)
-        np.exp(1j * phi, out=u[1:])
+        np.exp(1j * phases[:, lo:hi], out=u[1:])
         u[1:] /= math.sqrt(d)
-        return evaluate(u)
+        return evaluate(u) + (np.arange(lo, hi), np.full(hi - lo, _DAMPING), np.zeros(hi - lo, dtype=int))
 
     admitted = min(width, n)
-    state = start(phases[:, :admitted])
-    rows = np.arange(admitted)
-    damping = np.full(admitted, _DAMPING)
-    steps = np.zeros(admitted, dtype=int)
+    batch = start(0, admitted)
     out = np.empty((d, n), dtype=complex)
-    while rows.size:
-        live = (state[3] > stop) & (damping < _DAMPING_CAP) & (steps < max_iters)
+    while batch[4].size:
+        u, w, r, f, rows, damping, steps = batch
+        live = (f > stop) & (damping < _DAMPING_CAP) & (steps < max_iters)
         if not live.all():
             dead = np.flatnonzero(~live)
-            out[:, rows[dead]] = state[0][:, dead]
+            out[:, rows[dead]] = u[:, dead]
             # Refill the first k retired columns with the next pending restarts.
             k = min(dead.size, n - admitted)
-            slots = dead[:k]
-            for old, new in zip(state, start(phases[:, admitted : admitted + k])):
-                old[..., slots] = new
-            rows[slots] = np.arange(admitted, admitted + k)
+            for old, new in zip(batch, start(admitted, admitted + k)):
+                old[..., dead[:k]] = new
             admitted += k
-            damping[slots] = _DAMPING
-            steps[slots] = 0
             if k < dead.size:
                 keep = np.ones(rows.size, dtype=bool)
                 keep[dead[k:]] = False
-                rows, damping, steps = rows[keep], damping[keep], steps[keep]
-                state = tuple(x[..., keep] for x in state)
+                batch = tuple(x[..., keep] for x in batch)
             # A refilled restart may already be done: check again before stepping.
             continue
-        u, w, r, f = state
         step = _damped_step(h_conj, u, w, r, damping)
         # A restart whose factorisation failed keeps its point: a failed step.
         step[:, ~np.isfinite(step).all(axis=0)] = 0.0
         trial = evaluate(_cayley(u, step))
         better = trial[3] < f
-        for old, new in zip(state, trial):
+        for old, new in zip(batch, trial):
             np.copyto(old, new, where=better)
         damping *= np.where(better, 0.1, 10.0)
         steps += 1
@@ -355,7 +342,7 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
     I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs cfg.restarts
     independent seeded solves for the d - 1 free phases, pulls each back as
-    v = A u, keeps solutions with mu_residual <= RESIDUAL_TOL that also
+    v = A u, keeps solutions with residual <= RESIDUAL_TOL that also
     pass an independently accumulated re-check, clusters the survivors up to
     global phase in restart order, and lists the gauge-fixed representatives
     by their rounded components. Deterministic for a given (pair, cfg);
@@ -469,7 +456,5 @@ def find_extension_basis(pair: MUPair, cfg: SearchConfig) -> ExtensionResult:
     graph = orthogonality_graph(vecset)
     d = pair.dim
     clique = _max_clique(len(vecset), graph.edges, stop_at=d)
-    basis = None
-    if len(clique) >= d:
-        basis = Basis(np.column_stack([vecset.vectors[i] for i in clique[:d]]))
+    basis = Basis(np.column_stack([vecset.vectors[i] for i in clique])) if len(clique) == d else None
     return ExtensionResult(basis, len(clique), vecset, graph)

@@ -18,7 +18,7 @@ from .bases import Basis, MUPair
 from .equivalence import Move
 from .errors import FormatError, InvalidMoveError, ParameterRangeError
 from .families import _PARAM_NAMES, FAMILY_IDS, FamilyParams, validate_family_params
-from .linalg import TAU, _quote, format_matrix, parse_matrix
+from .linalg import _quote, format_matrix, parse_matrix
 from .search import ExtensionResult, MUVectorSet, OrthoGraph
 
 
@@ -89,7 +89,7 @@ def script_to_dict(script: Sequence[Move]) -> dict:
             "kind": move.kind,
             "member": move.member,
             "perm": None if move.perm is None else [i + 1 for i in move.perm],
-            "phases_over_2pi": None if move.phases is None else [p / TAU for p in move.phases],
+            "phases": None if move.phases is None else list(move.phases),
             "matrix": None if move.matrix is None else format_matrix(move.matrix),
         }
         moves.append({key: value for key, value in fields.items() if value is not None})
@@ -112,7 +112,7 @@ def _move_from_dict(data: dict) -> Move:
     fields = dict(data)
     kind, member, text = (fields.pop(key, None) for key in ("kind", "member", "matrix"))
     perm = _numbers(fields.pop("perm", None), "script move 'perm'", lambda i: i - 1)
-    phases = _numbers(fields.pop("phases_over_2pi", None), "script move 'phases_over_2pi'", lambda p: p * TAU)
+    phases = _numbers(fields.pop("phases", None), "script move 'phases'", float)
     if fields:
         raise FormatError(f"a script move has unknown keys {_quote(str(sorted(fields)))}")
     if text is not None and not isinstance(text, str):

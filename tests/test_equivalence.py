@@ -24,7 +24,7 @@ from mub6 import (
     reduce_P2,
     reduce_P3,
 )
-from mub6.serialize import script_from_dict, script_to_dict
+from mub6.serialize import dump_json, load_json, script_from_dict, script_to_dict
 
 OMEGA_ANGLES = (0.0, 2 * np.pi / 3, 4 * np.pi / 3)
 
@@ -107,6 +107,9 @@ def test_move_stores_plain_tuples():
     assert move.perm == (1, 0, 2, 3, 4, 5) and all(type(i) is int for i in move.perm)
     move = Move("left-diag-phase", phases=np.linspace(0.0, 1.0, 6))
     assert all(type(p) is float for p in move.phases)
+    move = Move("left-unitary", matrix=np.eye(6))
+    assert type(move.matrix) is tuple and all(type(row) is tuple and len(row) == 6 for row in move.matrix)
+    assert all(type(z) is complex for row in move.matrix for z in row)
 
 
 def test_moves_and_scripts_compare_and_hash_by_value():
@@ -166,6 +169,16 @@ def test_script_json_round_trip():
             assert sorted(move["perm"]) == [1, 2, 3, 4, 5, 6]
 
 
+def test_dephase_scripts_round_trip_exactly():
+    # Phases are written in radians, whose repr reads back bit for bit.
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        xi, eta = rng.uniform(0.0, 2 * np.pi, 2)
+        rows, cols = np.exp(1j * rng.uniform(0.0, 2 * np.pi, (2, 6)))
+        _, script = dephase(rows[:, None] * make_Ftilde(xi, eta) * cols)
+        assert script_from_dict(load_json(dump_json(script_to_dict(script)))) == script
+
+
 @pytest.mark.parametrize(
     "data",
     [
@@ -173,22 +186,22 @@ def test_script_json_round_trip():
         {"moves": [7]},
         {"moves": [{"kind": "permute-rows", "perm": 5}]},
         {"moves": [{"kind": "left-unitary", "matrix": 5}]},
-        {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": ["x"] * 6}]},
+        {"moves": [{"kind": "left-diag-phase", "phases": ["x"] * 6}]},
         # Numbers are not coerced: no float, bool or string permutation
         # entries, and no bool or string phases.
         {"moves": [{"kind": "permute-rows", "perm": [1.9, 2.2, 3, 4, 5, 6]}]},
         {"moves": [{"kind": "permute-rows", "perm": [1.0, 2, 3, 4, 5, 6]}]},
         {"moves": [{"kind": "permute-rows", "perm": [True, 2, 3, 4, 5, 6]}]},
         {"moves": [{"kind": "permute-rows", "perm": [1, "2", 3, 4, 5, 6]}]},
-        {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": ["0.5"] * 6}]},
-        {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": [True] + [0.0] * 5}]},
-        {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": [10**400] + [0.0] * 5}]},
+        {"moves": [{"kind": "left-diag-phase", "phases": ["0.5"] * 6}]},
+        {"moves": [{"kind": "left-diag-phase", "phases": [True] + [0.0] * 5}]},
+        {"moves": [{"kind": "left-diag-phase", "phases": [10**400] + [0.0] * 5}]},
         # No 'moves' key, an unknown kind, and fields or keys a kind does not take.
         {"move": [{"kind": "swap-members"}]},
         {"moves": [{"kind": "bogus"}]},
         {"moves": [{"kind": "swap-members", "perm": [1, 2]}]},
         {"moves": [{"kind": "permute-rows", "member": "first", "perm": [1, 2, 3, 4, 5, 6]}]},
-        {"moves": [{"kind": "left-diag-phase", "phases": [0.0] * 6}]},
+        {"moves": [{"kind": "left-diag-phase", "phases_over_2pi": [0.0] * 6}]},
         {"moves": [{"kind": "swap-members", "note": "x"}]},
         {"moves": [{"kind": "left-unitary", "matrix": "2 2\n1+0j 0+0j\n0+0j 2+0j\n"}]},
     ],

@@ -9,13 +9,13 @@ from mub6 import (
     DimensionError,
     FormatError,
     MUPair,
+    ParameterRangeError,
     SearchConfig,
     find_extension_basis,
     find_mu_vectors,
     hw_eigenbasis,
     is_mu_pair,
     make_family_pair,
-    mu_residual,
     orthogonality_graph,
     reduce_P2,
     same_basis_up_to_phase,
@@ -32,6 +32,8 @@ from mub6.search import (
     _spd_solve,
     _start_phases,
 )
+
+from grid_oracle import _residual_batch
 
 
 def pair_zx_d2():
@@ -56,22 +58,30 @@ def pairs_d3():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(restarts=0)
+    # Integers only: Philox truncates a float key, so seed 1.9 would run as 1.
+    for name in ("restarts", "master_seed"):
+        for bad in (1.5, 1.9, 2.5, True, "10"):
+            with pytest.raises(ParameterRangeError, match=f"^{name} must be an integer"):
+                SearchConfig(**{name: bad})
+    cfg = SearchConfig(restarts=np.int64(5), master_seed=np.uint64(3))
+    assert cfg == SearchConfig(5, 3) and type(cfg.restarts) is type(cfg.master_seed) is int
 
 
-def test_mu_residual_examples():
+def _recheck_one(v, pair):
+    return _recheck(np.asarray(v, dtype=complex)[None, :], pair.basis_vectors().conj(), 1 / pair.dim)[0]
+
+
+def test_recheck_examples():
     v = np.array([1, 1j]) / np.sqrt(2)
-    assert mu_residual(v, pair_zx_d2()) <= 1e-30
+    assert _recheck_one(v, pair_zx_d2()) <= 1e-30
 
     hy0 = hw_eigenbasis(3, "y").matrix[:, 0]
-    assert mu_residual(hy0, pair_zx_d3()) <= 1e-15
+    assert _recheck_one(hy0, pair_zx_d3()) <= 1e-15
 
     pair = make_family_pair("P0")
     e0 = np.zeros(6, dtype=complex)
     e0[0] = 1.0
-    assert abs(mu_residual(e0, pair) - ((1 - 1 / 6) ** 2 + 5 * (1 / 6) ** 2)) < 1e-12
-
-    with pytest.raises(DimensionError):
-        mu_residual([1, 0], pair)
+    assert abs(_recheck_one(e0, pair) - ((1 - 1 / 6) ** 2 + 5 * (1 / 6) ** 2)) < 1e-12
 
 
 def test_find_mu_vectors_d2():
@@ -130,9 +140,8 @@ def test_cluster_count_monotone_in_restarts():
 
 def test_soundness_recheck():
     vecset = find_mu_vectors(pair_zx_d3(), SearchConfig(restarts=200, master_seed=1))
-    pair = pair_zx_d3()
-    for vec in vecset.vectors:
-        assert mu_residual(vec, pair) <= 10 * 1e-20
+    # The grid oracle's residual shares no code with the search's.
+    assert np.all(_residual_batch(np.stack(vecset.vectors), pair_zx_d3().basis_vectors()) <= 10 * 1e-20)
 
 
 def _leader_reference(vecs, res, tol):
@@ -427,15 +436,14 @@ def test_gauge_fix_matches_per_row_formula():
         assert np.array_equal(fixed, vec * (vec[idx] / abs(vec[idx])).conjugate())
 
 
-def test_recheck_agrees_with_mu_residual():
+def test_recheck_agrees_with_grid_oracle_residual():
     pair = make_family_pair("P0")
     basis_conj = pair.basis_vectors().conj()
     rng = np.random.default_rng(7)
     vecs = rng.normal(size=(200, 6)) + 1j * rng.normal(size=(200, 6))
     vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-    rechecked = _recheck(vecs, basis_conj, 1 / 6)
-    for vec, value in zip(vecs, rechecked):
-        assert abs(value - mu_residual(vec, pair)) <= 1e-12 * mu_residual(vec, pair)
+    oracle = _residual_batch(vecs, pair.basis_vectors())
+    assert np.all(np.abs(_recheck(vecs, basis_conj, 1 / 6) - oracle) <= 1e-12 * oracle)
 
     cfg = SearchConfig(restarts=50, master_seed=0)
     found = np.stack(find_mu_vectors(pair, cfg).vectors)
