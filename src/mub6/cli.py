@@ -8,6 +8,8 @@ stderr), 2 on usage errors. All randomness enters through --seed (default 0).
 from __future__ import annotations
 
 import argparse
+import os
+import stat
 import sys
 
 from . import serialize
@@ -30,9 +32,17 @@ def _read(path: str) -> str:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    # Overwrite in place, then cut the file to what was written: truncating
+    # it to zero first makes ext4 and XFS flush it on close, and renaming a
+    # temporary file over it is just as slow. Only a regular file is cut;
+    # ftruncate fails on /dev/null and on pipes.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
 
 
 def _family_params(args: argparse.Namespace) -> FamilyParams:

@@ -59,29 +59,36 @@ class Move:
         if "member" in fields and self.member not in ("first", "second"):
             raise InvalidMoveError(f"move {self.kind} needs member 'first' or 'second'")
         if self.perm is not None:
-            perm = _entries(self, "perm", (int, np.integer), int)
+            perm = _entries(self.kind, "perm", self.perm, (int, np.integer), int)
             if sorted(perm) != list(range(len(perm))):
                 raise InvalidMoveError(f"move {self.kind} needs a permutation of 0..{len(perm) - 1}")
             object.__setattr__(self, "perm", perm)
         if self.phases is not None:
-            phases = _entries(self, "phases", (int, float, np.integer, np.floating), float)
+            phases = _entries(self.kind, "phases", self.phases, (int, float, np.integer, np.floating), float)
             if not all(map(math.isfinite, phases)):
                 raise InvalidMoveError(f"move {self.kind} has non-finite phases")
             object.__setattr__(self, "phases", phases)
         if self.matrix is not None:
-            matrix = as_matrix(self.matrix)
+            rows = np.asarray(self.matrix, dtype=object)
+            entries = _entries(self.kind, "matrix", rows.flat, (int, float, complex, np.number), complex)
+            matrix = np.array(entries, dtype=complex).reshape(rows.shape)
+            if matrix.ndim != 2 or matrix.size == 0 or not np.isfinite(matrix).all():
+                raise InvalidMoveError(f"move {self.kind} needs matrix as a non-empty 2-D array of finite numbers")
             if matrix.shape[0] != matrix.shape[1] or not is_unitary(matrix):
                 raise InvalidMoveError("left-unitary needs a square matrix, unitary within EQ_TOL")
             object.__setattr__(self, "matrix", tuple(map(tuple, matrix.tolist())))
 
 
-def _entries(move: Move, name: str, types, convert) -> tuple:
-    """The entries of one of the move's fields, converted; they must all be
-    numbers of the given types, never bools or strings."""
-    values = tuple(getattr(move, name))
-    if not all(isinstance(v, types) and not isinstance(v, bool) for v in values):
-        raise InvalidMoveError(f"move {move.kind} needs {name} as a sequence of numbers")
-    return tuple(convert(v) for v in values)
+def _entries(kind: str, name: str, values, types, convert) -> tuple:
+    """The entries of one of a move's fields, converted; they must all be
+    numbers of the given types, never bools or strings, within double range."""
+    try:
+        values = tuple(values)
+        if all(issubclass(t, types) and not issubclass(t, bool) for t in set(map(type, values))):
+            return tuple(map(convert, values))
+    except (TypeError, OverflowError):
+        pass
+    raise InvalidMoveError(f"move {kind} needs {name} as a sequence of numbers")
 
 
 def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, np.ndarray]:

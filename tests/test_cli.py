@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import random
@@ -196,6 +197,72 @@ def test_verify_missing_file(capsys):
     code, out, err = run_cli(capsys, "verify", "--pair", "/does/not/exist.json")
     assert code == 1
     assert json.loads(err)["error"] == "IOError"
+
+
+# Every command that writes files; {0} and {1} are its output paths.
+_WRITERS = {
+    "construct": ["construct", "--family", "P1", "--xi", "0.7", "--eta", "1.3", "--out", "{0}"],
+    "reduce": [
+        "reduce", "--family", "P3", "--zeta", "0.4", "--chi", "1.1", "--sigma", "0.9", "--tau", "2.0",
+        "--out", "{0}", "--emit-script", "{1}",
+    ],
+    "search-extend": ["search-extend", "--pair", "{pair}", "--restarts", "400", "--out", "{0}"],
+    "ortho-graph": ["ortho-graph", "--vectors", "{vectors}", "--out", "{0}"],
+}
+_JUNK = bytes(range(256)) * 400
+
+
+@pytest.mark.parametrize("command", list(_WRITERS))
+def test_out_over_a_longer_file_matches_a_fresh_write(tmp_path, capsys, command):
+    pair = tmp_path / "pair3.json"
+    pair.write_text(dump_json(pair_to_dict(MUPair(Basis(np.eye(3, dtype=complex)), hw_eigenbasis(3, "x")))))
+    vectors = tmp_path / "vectors.json"
+    assert run(["search-extend", "--pair", str(pair), "--restarts", "400", "--out", str(vectors)]) == 0
+    argv = _WRITERS[command]
+    written = {}
+    for name in ("fresh", "over"):
+        outs = [tmp_path / f"{name}{i}.json" for i in range(argv.count("{0}") + argv.count("{1}"))]
+        if name == "over":
+            for path in outs:
+                path.write_bytes(_JUNK)
+        code, out, err = run_cli(capsys, *(a.format(*outs, pair=pair, vectors=vectors) for a in argv))
+        assert (code, out, err) == (0, "", "")
+        written[name] = [path.read_bytes() for path in outs]
+    assert written["over"] == written["fresh"]
+    assert all(0 < len(data) < len(_JUNK) for data in written["fresh"])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_out_to_dev_null(capsys):
+    # /dev/null is written but not cut to length: ftruncate fails on it.
+    assert run_cli(capsys, "construct", "--family", "P0", "--out", "/dev/null") == (0, "", "")
+
+
+def test_out_keeps_file_modes_and_follows_symlinks(tmp_path, capsys):
+    old_umask = os.umask(0o022)
+    try:
+        assert run_cli(capsys, "construct", "--family", "P0", "--out", str(tmp_path / "new.json"))[0] == 0
+    finally:
+        os.umask(old_umask)
+    assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o644
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(_JUNK)
+    target.chmod(0o600)
+    link.symlink_to(target)
+    assert run_cli(capsys, "construct", "--family", "P0", "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == (tmp_path / "new.json").read_bytes()
+    assert target.stat().st_mode & 0o777 == 0o600
+
+
+def test_out_to_a_directory_or_a_missing_directory(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir" / "out.json"
+    for path, errno_ in ((tmp_path, errno.EISDIR), (missing, errno.ENOENT)):
+        code, out, err = run_cli(capsys, "construct", "--family", "P0", "--out", str(path))
+        assert (code, out) == (1, "")
+        message = str(OSError(errno_, os.strerror(errno_), str(path)))
+        assert json.loads(err) == {"error": "IOError", "message": message}
+    assert not missing.parent.exists()
 
 
 def test_reduce_p2_emits_pair_and_script(tmp_path, capsys):

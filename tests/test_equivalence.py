@@ -89,12 +89,26 @@ def test_move_validation():
         ("right-diag-phase", {"member": "third", "phases": [0.0] * 6}),
         ("left-unitary", {"matrix": np.eye(6)[:, :5]}),
         ("left-unitary", {"matrix": 1.5 * np.eye(6)}),
+        ("left-unitary", {"matrix": "abc"}),
+        ("left-unitary", {"matrix": [[1, "x"]]}),
+        ("left-unitary", {"matrix": [[True]]}),
+        ("left-unitary", {"matrix": [[True, 0.0], [0.0, 1.0]]}),
+        ("left-unitary", {"matrix": [["1"]]}),
+        ("left-unitary", {"matrix": []}),
+        ("left-unitary", {"matrix": [[float("inf")]]}),
+        ("left-unitary", {"matrix": [[10**400]]}),
+        ("left-unitary", {"matrix": [[1, 0], [0]]}),
+        ("permute-rows", {"perm": 5}),
+        ("left-diag-phase", {"phases": [10**400] + [0.0] * 5}),
     ],
     ids=[
         "perm-float", "perm-whole-float", "perm-bool", "perm-string",
         "phase-string", "phase-bool", "phase-nan", "unknown-kind", "no-kind",
         "swap-members-with-perm", "permute-rows-with-member", "bad-member",
-        "matrix-not-square", "matrix-not-unitary",
+        "matrix-not-square", "matrix-not-unitary", "matrix-string",
+        "matrix-string-entry", "matrix-bool", "matrix-bool-entry",
+        "matrix-numeric-string", "matrix-empty", "matrix-inf", "matrix-huge-int",
+        "matrix-ragged", "perm-not-a-sequence", "phase-huge-int",
     ],
 )
 def test_move_is_checked_when_built(kind, fields):
