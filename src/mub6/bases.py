@@ -16,6 +16,7 @@ from .linalg import (
     OMEGA2,
     _freeze,
     _gram_defect,
+    _is_unit,
     as_matrix,
     as_vector,
 )
@@ -37,14 +38,11 @@ class ProductLabel:
     name: str = ""
 
     def __post_init__(self) -> None:
-        f2 = as_vector(self.factor2, dim=2)
-        f3 = as_vector(self.factor3, dim=3)
-        for f in (f2, f3):
-            # The sum np.linalg.norm computes, without its dispatch.
-            if abs(np.sqrt(f.real.dot(f.real) + f.imag.dot(f.imag)) - 1.0) > EQ_TOL:
+        for field, dim in (("factor2", 2), ("factor3", 3)):
+            f = as_vector(getattr(self, field), dim)
+            if not _is_unit(f):
                 raise NotABasisError(f"label factor is not a unit vector in {self.name!r}")
-        object.__setattr__(self, "factor2", _freeze(f2))
-        object.__setattr__(self, "factor3", _freeze(f3))
+            object.__setattr__(self, field, _freeze(f))
 
     def vector(self) -> np.ndarray:
         # The factors were checked and frozen once above.
@@ -116,8 +114,8 @@ class MUCheck:
 @dataclass(frozen=True)
 class MUPair:
     """Two mutually unbiased bases of equal dimension, with optional family
-    provenance. Construction validates the MU condition at MU_TOL, and params
-    need a family."""
+    provenance. Construction validates both through is_mu_pair, at MU_TOL,
+    and params need a family."""
 
     first: Basis
     second: Basis
@@ -125,10 +123,6 @@ class MUPair:
     params: "FamilyParams | None" = None
 
     def __post_init__(self) -> None:
-        if self.first.dim != self.second.dim:
-            raise DimensionError(
-                f"pair members have different dimensions: {self.first.dim} vs {self.second.dim}"
-            )
         if self.family is None and self.params is not None:
             raise ParameterRangeError(f"params {sorted(self.params.present())} given without a family")
         check = is_mu_pair(self.first, self.second)

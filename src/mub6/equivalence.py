@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import Basis, MUPair, hw_eigenbasis, is_mu_pair, same_basis_up_to_phase
-from .errors import InvalidMoveError, NotHadamardError
+from .errors import DimensionError, FormatError, InvalidMoveError, NotHadamardError
 from .families import make_family_pair, make_Ftilde, make_S, FamilyParams
-from .linalg import EQ_TOL, OMEGA2, _quote, as_matrix, is_unitary
+from .linalg import EQ_TOL, OMEGA2, _numbers, _quote, as_matrix, is_unitary
 
 
 # The fields each move kind takes besides its kind.
@@ -59,36 +59,26 @@ class Move:
         if "member" in fields and self.member not in ("first", "second"):
             raise InvalidMoveError(f"move {self.kind} needs member 'first' or 'second'")
         if self.perm is not None:
-            perm = _entries(self.kind, "perm", self.perm, (int, np.integer), int)
-            if sorted(perm) != list(range(len(perm))):
-                raise InvalidMoveError(f"move {self.kind} needs a permutation of 0..{len(perm) - 1}")
+            perm = _numbers(self.perm, (int, np.integer), int)
+            if perm is None or sorted(perm) != list(range(len(perm))):
+                raise InvalidMoveError(f"move {self.kind} needs perm as a permutation of the integers 0..n-1")
             object.__setattr__(self, "perm", perm)
         if self.phases is not None:
-            phases = _entries(self.kind, "phases", self.phases, (int, float, np.integer, np.floating), float)
-            if not all(map(math.isfinite, phases)):
-                raise InvalidMoveError(f"move {self.kind} has non-finite phases")
+            phases = _numbers(self.phases, (int, float, np.integer, np.floating), float)
+            if phases is None or not all(map(math.isfinite, phases)):
+                raise InvalidMoveError(f"move {self.kind} needs phases as a sequence of finite numbers")
             object.__setattr__(self, "phases", phases)
         if self.matrix is not None:
             rows = np.asarray(self.matrix, dtype=object)
-            entries = _entries(self.kind, "matrix", rows.flat, (int, float, complex, np.number), complex)
-            matrix = np.array(entries, dtype=complex).reshape(rows.shape)
-            if matrix.ndim != 2 or matrix.size == 0 or not np.isfinite(matrix).all():
-                raise InvalidMoveError(f"move {self.kind} needs matrix as a non-empty 2-D array of finite numbers")
-            if matrix.shape[0] != matrix.shape[1] or not is_unitary(matrix):
-                raise InvalidMoveError("left-unitary needs a square matrix, unitary within EQ_TOL")
+            entries = _numbers(rows.flat, (int, float, complex, np.number), complex)
+            matrix = None if entries is None else np.array(entries, dtype=complex).reshape(rows.shape)
+            try:
+                unitary = matrix is not None and is_unitary(matrix)
+            except (DimensionError, FormatError):
+                unitary = False
+            if not unitary:
+                raise InvalidMoveError("left-unitary needs a square matrix of numbers, unitary within EQ_TOL")
             object.__setattr__(self, "matrix", tuple(map(tuple, matrix.tolist())))
-
-
-def _entries(kind: str, name: str, values, types, convert) -> tuple:
-    """The entries of one of a move's fields, converted; they must all be
-    numbers of the given types, never bools or strings, within double range."""
-    try:
-        values = tuple(values)
-        if all(issubclass(t, types) and not issubclass(t, bool) for t in set(map(type, values))):
-            return tuple(map(convert, values))
-    except (TypeError, OverflowError):
-        pass
-    raise InvalidMoveError(f"move {kind} needs {name} as a sequence of numbers")
 
 
 def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, np.ndarray]:

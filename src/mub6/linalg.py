@@ -7,6 +7,9 @@ be shared freely between threads and replayed deterministically.
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
 from .errors import DimensionError, FormatError
@@ -25,6 +28,23 @@ OMEGA2 = np.exp(2j * TAU / 3.0)
 EQ_TOL = 1e-10
 MU_TOL = 1e-9
 ORTHO_TOL = 1e-7
+
+
+def _numbers(values, types, convert) -> tuple | None:
+    """The entries of values, each converted, or None unless every one is a
+    number of one of types: never a bool or string, and within double range.
+    The test is per entry: numpy infers integers for [True, 1]."""
+    try:
+        values = tuple(values)
+        kinds = set(map(type, values))
+        if not all(issubclass(t, types) and not issubclass(t, bool) for t in kinds):
+            return None
+        # Python ints are unbounded: one past a double is refused.
+        if int in kinds and not all(abs(v) <= sys.float_info.max for v in values if type(v) is int):
+            return None
+        return tuple(map(convert, values))
+    except TypeError:
+        return None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -55,8 +75,24 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _is_unit(v: np.ndarray) -> bool:
+    """True iff | ||v|| - 1 | <= EQ_TOL. A real or imaginary part past
+    1 + EQ_TOL fails before any square is formed, so nothing overflows."""
+    parts = v.real.tolist() + v.imag.tolist()
+    return max(map(abs, parts), default=0.0) <= 1.0 + EQ_TOL and abs(math.hypot(*parts) - 1.0) <= EQ_TOL
+
+
 def _gram_defect(a: np.ndarray) -> tuple[float, int, int] | None:
-    """Largest |A^dagger A - I| entry and its index, or None if all are <= EQ_TOL."""
+    """Largest |A^dagger A - I| entry and its index, or None if all are <= EQ_TOL.
+
+    A column with an entry past 1 + EQ_TOL in modulus is reported first, with
+    its own |<a_j|a_j> - 1|, before any product is formed, so nothing overflows.
+    """
+    moduli = np.abs(a)
+    if moduli.max() > 1.0 + EQ_TOL:
+        j = int(np.flatnonzero(moduli.max(axis=0) > 1.0 + EQ_TOL)[0])
+        norm = math.hypot(*moduli[:, j].tolist())
+        return norm * norm - 1.0, j, j
     dev = np.abs(a.conj().T @ a - np.eye(a.shape[0]))
     i, j = np.unravel_index(int(dev.argmax()), dev.shape)
     return None if dev[i, j] <= EQ_TOL else (float(dev[i, j]), int(i), int(j))
@@ -118,7 +154,4 @@ def parse_matrix(text: str) -> np.ndarray:
                 values.append(complex(token))
             except ValueError as exc:
                 raise FormatError(f"bad matrix entry {_quote(token)} at ({i}, {j})") from exc
-    out = np.array(values, dtype=np.complex128).reshape(nrows, ncols)
-    if not np.isfinite(out).all():
-        raise FormatError("matrix contains non-finite entries")
-    return out
+    return as_matrix(np.array(values, dtype=np.complex128).reshape(nrows, ncols))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .bases import Basis, MUPair
 from .errors import DimensionError, FormatError, ParameterRangeError
-from .linalg import EQ_TOL, ORTHO_TOL, as_vector
+from .linalg import ORTHO_TOL, _is_unit, _numbers, as_vector
 
 # Levenberg-Marquardt damping: its starting value, and the value past which a
 # restart whose steps keep failing is given up as stalled.
@@ -45,9 +45,10 @@ class SearchConfig:
     def __post_init__(self) -> None:
         for name in ("restarts", "master_seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-                raise ParameterRangeError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            number = _numbers((value,), (int, np.integer), int)
+            if number is None:
+                raise ParameterRangeError(f"{name} must be an integer in double range, got {type(value).__name__}")
+            object.__setattr__(self, name, number[0])
         if self.restarts < 1:
             raise ParameterRangeError("restarts must be at least 1")
         if not 0 <= self.master_seed < 2**128:
@@ -401,9 +402,7 @@ def orthogonality_graph(vectors) -> OrthoGraph:
         if len({vec.shape for vec in vecs}) > 1:
             raise DimensionError("vectors of different dimensions")
         for k, vec in enumerate(vecs):
-            parts = np.abs(np.concatenate([vec.real, vec.imag]))
-            # Parts past 1 fail before they are squared, so the norm cannot overflow.
-            if not (parts <= 1.0 + EQ_TOL).all() or abs(np.sqrt(parts @ parts) - 1.0) > EQ_TOL:
+            if not _is_unit(vec):
                 raise FormatError(f"vector {k} does not have norm 1 within EQ_TOL")
     n = len(vecs)
     if n < 2:

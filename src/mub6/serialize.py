@@ -3,14 +3,16 @@
 Matrices embed as the shared text format; floats rely on Python's shortest
 round-trip repr, so every serialized double survives a load/dump cycle
 bit-exactly. Every number a reader takes, in pair params, scripts and search
-output, passes one rule, _number: JSON numbers only.
+output, passes the number rule that Move and SearchConfig apply too,
+linalg._numbers: JSON numbers only, never a bool or string, nor an integer
+past a double.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -18,24 +20,8 @@ from .bases import Basis, MUPair
 from .equivalence import Move
 from .errors import FormatError, InvalidMoveError, ParameterRangeError
 from .families import _PARAM_NAMES, FAMILY_IDS, FamilyParams, validate_family_params
-from .linalg import _quote, format_matrix, parse_matrix
-from .search import ExtensionResult, MUVectorSet, OrthoGraph
-
-
-def _number(value, what: str) -> int | float:
-    """value if it is a JSON number: an int or float, never a bool or string, nor an int past a double."""
-    if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
-        return value
-    raise FormatError(f"{what} must be a JSON number, got {_quote(str(value))}")
-
-
-def _numbers(values, what: str, convert) -> tuple | None:
-    """The list values, each entry a JSON number, converted; None when absent."""
-    if values is None:
-        return None
-    if not isinstance(values, list):
-        raise FormatError(f"{what} must be a list of JSON numbers")
-    return tuple(convert(_number(v, what)) for v in values)
+from .linalg import _numbers, _quote, format_matrix, parse_matrix
+from .search import ExtensionResult, OrthoGraph
 
 
 def pair_to_dict(pair: MUPair) -> dict:
@@ -72,7 +58,10 @@ def pair_from_dict(data: dict) -> MUPair:
     for name, value in (raw or {}).items():
         if name not in _PARAM_NAMES:
             raise FormatError(f"pair JSON 'params' has name {_quote(name)}, expected one of {_PARAM_NAMES}")
-        values[name] = float(_number(value, f"pair JSON 'params' {name!r}"))
+        number = _numbers((value,), (int, float), float)
+        if number is None:
+            raise FormatError(f"pair JSON 'params' {name!r} must be a JSON number, got {_quote(str(value))}")
+        values[name] = number[0]
     params = None if raw is None else FamilyParams(**values)
     try:
         if family is not None:
@@ -111,28 +100,16 @@ def script_from_dict(data: dict) -> tuple[Move, ...]:
 def _move_from_dict(data: dict) -> Move:
     fields = dict(data)
     kind, member, text = (fields.pop(key, None) for key in ("kind", "member", "matrix"))
-    perm = _numbers(fields.pop("perm", None), "script move 'perm'", lambda i: i - 1)
-    phases = _numbers(fields.pop("phases", None), "script move 'phases'", float)
+    perm, phases = fields.pop("perm", None), fields.pop("phases", None)
     if fields:
         raise FormatError(f"a script move has unknown keys {_quote(str(sorted(fields)))}")
+    for name, values in (("perm", perm), ("phases", phases)):
+        if values is not None and (not isinstance(values, list) or _numbers(values, (int, float), float) is None):
+            raise FormatError(f"script move {name!r} must be a list of JSON numbers")
     if text is not None and not isinstance(text, str):
         raise FormatError("a script move's 'matrix' must be matrix text")
+    perm = None if perm is None else [i - 1 for i in perm]
     return Move(kind, member, perm, phases, None if text is None else parse_matrix(text))
-
-
-def _vector_to_json(vec: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in vec]
-
-
-def vector_set_to_dict(vecset: MUVectorSet) -> dict:
-    return {
-        "pair": pair_to_dict(vecset.pair),
-        "clusters": [
-            {"vector": _vector_to_json(v), "residual": float(r), "hits": int(h)}
-            for v, r, h in zip(vecset.vectors, vecset.residuals, vecset.hits)
-        ],
-        "manifold_warning": bool(vecset.manifold_warning),
-    }
 
 
 def graph_to_dict(graph: OrthoGraph) -> dict:
@@ -145,27 +122,33 @@ def graph_to_dict(graph: OrthoGraph) -> dict:
 
 
 def extension_result_to_dict(result: ExtensionResult) -> dict:
-    out = vector_set_to_dict(result.vectors)
-    out["graph"] = graph_to_dict(result.graph)
-    out["max_clique_size"] = int(result.max_clique_size)
-    out["extension_basis"] = (
-        None if result.basis is None else format_matrix(result.basis.matrix)
-    )
-    return out
+    vecset = result.vectors
+    return {
+        "pair": pair_to_dict(vecset.pair),
+        "clusters": [
+            {"vector": [[float(z.real), float(z.imag)] for z in v], "residual": float(r), "hits": int(h)}
+            for v, r, h in zip(vecset.vectors, vecset.residuals, vecset.hits)
+        ],
+        "manifold_warning": bool(vecset.manifold_warning),
+        "graph": graph_to_dict(result.graph),
+        "max_clique_size": int(result.max_clique_size),
+        "extension_basis": None if result.basis is None else format_matrix(result.basis.matrix),
+    }
 
 
 def vectors_from_dict(data: dict) -> tuple[np.ndarray, ...]:
-    """Extract the cluster vectors from a serialized search result.
-
-    orthogonality_graph checks that they are unit vectors.
-    """
+    """The cluster vectors of a serialized search result: equal-length lists of
+    [re, im] pairs of JSON numbers. orthogonality_graph checks their norms."""
     try:
-        rows = [
-            [complex(_number(re, "re"), _number(im, "im")) for re, im in c["vector"]] for c in data["clusters"]
-        ]
-        return tuple(np.array(rows, dtype=np.complex128))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"vector-set clusters need equal-length [re, im] lists ({exc!r})") from exc
+        vectors = [c["vector"] for c in data["clusters"]]
+        lengths, pairs = set(map(len, vectors)), list(chain.from_iterable(vectors))
+        shaped = len(lengths) <= 1 and set(map(len, pairs)) <= {2}
+    except (KeyError, TypeError):
+        shaped = False
+    values = _numbers(chain.from_iterable(pairs), (int, float), float) if shaped else None
+    if values is None:
+        raise FormatError("vector-set clusters need equal-length lists of [re, im] pairs of JSON numbers")
+    return tuple(np.array(values).view(np.complex128).reshape(len(vectors), *lengths))
 
 
 def dump_json(data: dict) -> str:

@@ -182,6 +182,20 @@ def test_verify_rejects_non_mu_pair(tmp_path, capsys):
     assert payload["error"] == "NotMUPairError"
 
 
+def test_verify_rejects_huge_entries_with_one_json_object(tmp_path, capsys):
+    # 1e200 * I overflows a Gram product; the suite turns the RuntimeWarning
+    # that would print ahead of the JSON into an error.
+    huge = {
+        "first": format_matrix(1e200 * np.eye(6)), "second": format_matrix(np.eye(6)),
+        "family": None, "params": None,
+    }
+    f = tmp_path / "huge.json"
+    f.write_text(dump_json(huge))
+    code, out, err = run_cli(capsys, "verify", "--pair", str(f))
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "NotABasisError"
+
+
 def test_verify_and_fingerprint_reject_wrong_shapes(tmp_path, capsys):
     listed = tmp_path / "list.json"
     listed.write_text("[1, 2]")
@@ -512,6 +526,19 @@ def _not_unit(clusters):
     clusters[1]["vector"][0][0] *= 1.001
 
 
+def _empty_vector(clusters):
+    clusters[:] = [{"vector": []}]
+
+
+def _uneven_parts(clusters):
+    # Four parts in all, as two [re, im] pairs would have.
+    clusters[0]["vector"][:2] = [[1.0, 0.0, 0.0], [0.0]]
+
+
+def _string_vector(clusters):
+    clusters[0]["vector"] = "ab"
+
+
 def _bool_parts(clusters):
     # As numbers these would be the unit vectors (1, 0) and (0, 1).
     clusters[0]["vector"] = [[True, False], [False, False]]
@@ -520,7 +547,10 @@ def _bool_parts(clusters):
 
 @pytest.mark.parametrize(
     "mutate",
-    [_drop_vector, _ragged, _not_a_pair, _not_numbers, _too_large, _huge_entry, _not_unit, _bool_parts],
+    [
+        _drop_vector, _ragged, _not_a_pair, _not_numbers, _too_large, _huge_entry, _not_unit, _bool_parts,
+        _empty_vector, _uneven_parts, _string_vector,
+    ],
 )
 def test_ortho_graph_rejects_malformed_clusters(tmp_path, capsys, mutate):
     pair = MUPair(hw_eigenbasis(2, "z"), hw_eigenbasis(2, "x"))

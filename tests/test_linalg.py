@@ -4,15 +4,25 @@ import pytest
 from mub6 import (
     EQ_TOL,
     OMEGA,
+    Basis,
     DimensionError,
+    FamilyParams,
     FormatError,
+    InvalidMoveError,
+    Move,
+    NotABasisError,
+    ParameterRangeError,
     ProductLabel,
+    SearchConfig,
     format_matrix,
     hw_eigenbasis,
     is_unitary,
+    make_family_pair,
     make_Ftilde,
+    orthogonality_graph,
     parse_matrix,
 )
+from mub6.serialize import pair_from_dict, pair_to_dict, script_from_dict, vectors_from_dict
 
 RNG = np.random.default_rng(7)
 
@@ -152,3 +162,89 @@ def test_parse_matrix_errors():
 def test_omega_is_exact_cube_root():
     assert abs(OMEGA**3 - 1.0) < 1e-15
     assert abs(1 + OMEGA + OMEGA**2) < 1e-15
+
+
+def _p1_pair_with_xi(xi):
+    data = pair_to_dict(make_family_pair("P1", FamilyParams(xi=0.7, eta=1.3)))
+    data["params"]["xi"] = xi
+    return pair_from_dict(data)
+
+
+# Every entry point of the number rule, each with the value in a slot where
+# the number 1 would be accepted, and the error it raises there.
+_NUMBER_ENTRY_POINTS = {
+    "move-perm": (lambda x: Move("permute-rows", perm=(x, 0, 2, 3, 4, 5)), InvalidMoveError),
+    "move-phases": (lambda x: Move("left-diag-phase", phases=(x, 0.0, 0.0, 0.0, 0.0, 0.0)), InvalidMoveError),
+    "move-matrix": (lambda x: Move("left-unitary", matrix=[[x, 0], [0, 1]]), InvalidMoveError),
+    "script-perm": (
+        lambda x: script_from_dict({"moves": [{"kind": "permute-rows", "perm": [x, 2, 3, 4, 5, 6]}]}),
+        FormatError,
+    ),
+    "script-phases": (
+        lambda x: script_from_dict({"moves": [{"kind": "left-diag-phase", "phases": [x, 0, 0, 0, 0, 0]}]}),
+        FormatError,
+    ),
+    "pair-params": (_p1_pair_with_xi, FormatError),
+    "vector-part": (
+        lambda x: vectors_from_dict({"clusters": [{"vector": [[x, 0.0], [0.0, 0.0]]}]}),
+        FormatError,
+    ),
+    "search-restarts": (lambda x: SearchConfig(restarts=x), ParameterRangeError),
+    "search-seed": (lambda x: SearchConfig(master_seed=x), ParameterRangeError),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_NUMBER_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "bad", [True, "1", None, 10**400, [1]], ids=["bool", "string", "none", "huge-int", "list"]
+)
+def test_number_rule_at_every_entry_point(entry, bad):
+    build, error = _NUMBER_ENTRY_POINTS[entry]
+    build(1)
+    with pytest.raises(error):
+        build(bad)
+
+
+def test_huge_entries_fail_before_any_product_overflows():
+    # The suite turns warnings into errors, so an overflow in a norm or a
+    # Gram product would raise RuntimeWarning here instead.
+    huge = 1e200 * np.eye(6)
+    assert not is_unitary(huge)
+    with pytest.raises(InvalidMoveError):
+        Move("left-unitary", matrix=huge)
+    with pytest.raises(NotABasisError, match=r"Gram deviation inf at vector pair \(0, 0\)"):
+        Basis(1e200 * np.eye(2))
+    with pytest.raises(NotABasisError, match="not a unit vector"):
+        ProductLabel([1e200, 0], np.eye(3)[:, 0])
+    with pytest.raises(FormatError, match="norm 1"):
+        orthogonality_graph([[1e200, 0], [0, 1]])
+    # Finite, but its modulus is past the largest double.
+    edge = complex(1.7e308, 1.7e308)
+    with pytest.raises(NotABasisError):
+        Basis(np.array([[edge, 0], [0, 1]]))
+    with pytest.raises(NotABasisError):
+        ProductLabel([edge, 0], np.eye(3)[:, 0])
+    with pytest.raises(FormatError, match="norm 1"):
+        orthogonality_graph([[edge, 0], [0, 1]])
+
+
+def test_gram_guard_reports_the_first_column_past_one():
+    # Column 0 is reported by its own |<a_0|a_0> - 1|, ahead of the largest
+    # Gram entry, 9 at (2, 2).
+    m = np.eye(3)
+    m[0, 0], m[1, 2] = 1.5, 3.0
+    with pytest.raises(NotABasisError, match=r"Gram deviation 1\.250e\+00 at vector pair \(0, 0\)"):
+        Basis(m)
+    # An entry just inside 1 + EQ_TOL goes on to the Gram test itself.
+    assert is_unitary(np.diag([1.0 + 0.4 * EQ_TOL, 1.0]))
+
+
+def test_empty_input_keeps_its_errors():
+    with pytest.raises(DimensionError):
+        ProductLabel([], np.eye(3)[:, 0])
+    with pytest.raises(DimensionError):
+        ProductLabel([1.0, 0.0], [])
+    for vectors in ([[]], [[], []]):
+        with pytest.raises(FormatError, match="norm 1"):
+            orthogonality_graph(vectors)
+    assert vectors_from_dict({"clusters": []}) == ()
