@@ -186,15 +186,18 @@ def is_mu_pair(first, second) -> MUCheck:
     """Check |<a_i|b_j>|^2 = 1/d for all cross overlaps.
 
     Returns the verdict together with the worst deviation and the index pair
-    (i, j) where it occurs.
+    (i, j) where it occurs. An overlap past the double range, which only
+    matrices far from unitary have, gives an infinite deviation (NaN where
+    the product met inf - inf) and fails the check without a warning.
     """
     a = _coerce(first)
     b = _coerce(second)
     if a.shape != b.shape:
         raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
     d = a.shape[0]
-    cross = np.abs(a.conj().T @ b) ** 2
-    dev = np.abs(cross - 1.0 / d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = np.abs(a.conj().T @ b) ** 2
+        dev = np.abs(cross - 1.0 / d)
     flat = int(dev.argmax())
     i, j = np.unravel_index(flat, dev.shape)
     worst = float(dev[i, j])

@@ -4,7 +4,11 @@ for extension bases."""
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,10 @@ _DAMPING_CAP = 1e12
 # The most restarts the solver keeps live at once.
 _WIDTH = 4096
 
+# The fewest restarts worth a process of their own: find_mu_vectors solves
+# min(usable CPUs, restarts // _BLOCK) contiguous blocks at once.
+_BLOCK = 2048
+
 # MAX_ITERS caps the Levenberg-Marquardt steps each restart takes;
 # RESIDUAL_TOL is both where a restart stops and what it must reach to be
 # accepted; CLUSTER_TOL is a cluster's radius up to phase. find_mu_vectors
@@ -35,8 +43,8 @@ class SearchConfig:
     """Restart budget and seeding of the search.
 
     Restart k draws its start phases from its own counter blocks of one
-    Philox stream keyed by master_seed, so results do not depend on how
-    restarts are batched or scheduled.
+    Philox stream keyed by master_seed, so results do not depend on the batch
+    width or on how many processes split the restarts.
     """
 
     restarts: int = 20000
@@ -290,6 +298,99 @@ def _solve_phases(
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where the OS cannot tell (only
+    Linux can, and it can also fork)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fork() -> int:
+    """os.fork, quiet about threads that only the OS sees.
+
+    Python 3.12 warns on a fork while the process has more than one OS thread,
+    and OpenBLAS keeps a worker thread from `import numpy` on. OpenBLAS stops
+    its workers around a fork (pthread_atfork) and the child runs no BLAS, and
+    _solve_blocks does not fork while another Python thread is alive. So that
+    one warning is ignored here, where the filter cannot let it be raised in
+    the parent after the child already exists.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
+        )
+        return os.fork()
+
+
+def _reaped_ok(pid: int) -> bool:
+    """Wait for child pid; True iff it exited with status 0."""
+    try:
+        return os.waitpid(pid, 0)[1] == 0
+    except ChildProcessError:  # already reaped elsewhere: its status is lost
+        return False
+
+
+def _solve_blocks(phases: np.ndarray, h_conj: np.ndarray, width: int) -> np.ndarray:
+    """_solve_phases over k = min(usable CPUs, restarts // _BLOCK) contiguous
+    blocks of restarts solved at once, each with the given width.
+
+    This process solves block 0; each other block runs in a forked child that
+    writes its columns into anonymous shared memory and leaves by os._exit.
+    Each restart's arithmetic does not depend on the batch, so the columns
+    are bit-identical to one _solve_phases call. A block whose fork fails or
+    whose child does not exit with status 0 is solved here instead. With one
+    block, or another Python thread alive (forking it would copy its locks
+    wherever they are), nothing forks. Every child is reaped before return.
+    """
+    n = phases.shape[1]
+    k = min(_usable_cpus(), n // _BLOCK)
+    if k < 2 or threading.active_count() > 1:
+        return _solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL, width)
+    import mmap  # here, as signal below, so that `import mub6` loads neither
+
+    try:
+        shared = mmap.mmap(-1, len(h_conj) * n * np.dtype(complex).itemsize)
+    except OSError:  # no shared memory to be had: one process does it all
+        return _solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL, width)
+    found = np.frombuffer(shared, dtype=complex).reshape(len(h_conj), n)
+    bounds = [n * i // k for i in range(k + 1)]
+
+    def solve(i: int) -> None:
+        lo, hi = bounds[i], bounds[i + 1]
+        found[:, lo:hi] = _solve_phases(phases[:, lo:hi], h_conj, MAX_ITERS, RESIDUAL_TOL, width)
+
+    children: dict[int, int] = {}
+    try:
+        for i in range(1, k):
+            try:
+                pid = _fork()
+            except OSError:
+                continue
+            if pid == 0:
+                status = 1
+                try:
+                    solve(i)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[i] = pid
+        solve(0)
+        for i in range(1, k):
+            ok = i in children and _reaped_ok(children[i])
+            children.pop(i, None)
+            if not ok:
+                solve(i)
+    finally:
+        # Only an exception gets here with children left: stop them, then reap.
+        if children:
+            import signal
+
+            for pid in children.values():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                _reaped_ok(pid)
+    return found
+
+
 def _gauge_fix(v: np.ndarray) -> np.ndarray:
     """Make the first component of largest modulus of each row real positive,
     the output convention of reported vectors (the clusters do not use it).
@@ -342,12 +443,14 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
 
     Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
     I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs cfg.restarts
-    independent seeded solves for the d - 1 free phases, pulls each back as
-    v = A u, keeps solutions with residual <= RESIDUAL_TOL that also
-    pass an independently accumulated re-check, clusters the survivors up to
-    global phase in restart order, and lists the gauge-fixed representatives
-    by their rounded components. Deterministic for a given (pair, cfg);
-    _chunk only controls batching and never the result.
+    independent seeded solves for the d - 1 free phases, as contiguous blocks
+    in forked processes when there are CPUs and restarts enough for more than
+    one (_solve_blocks), pulls each back in this process as v = A u, keeps
+    solutions with residual <= RESIDUAL_TOL that also pass an independently
+    accumulated re-check, clusters the survivors up to global phase in restart
+    order, and lists the gauge-fixed representatives by their rounded
+    components. Deterministic for a given (pair, cfg), bit for bit whatever
+    the CPU count; _chunk only controls batching and never the result.
     """
     d = pair.dim
     a = pair.first.matrix
@@ -361,7 +464,7 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     if d * cfg.restarts * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
         raise MemoryError(f"{cfg.restarts} restarts need more memory than numpy can address")
     phases = _start_phases(cfg.master_seed, cfg.restarts, d)
-    found = _solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL, _chunk)
+    found = _solve_blocks(phases, h_conj, _chunk)
     # Pull back, residual and recheck a chunk at a time, moving the accepted
     # rows to the front of the solver's output.
     res = np.empty(cfg.restarts)

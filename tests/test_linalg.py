@@ -16,6 +16,7 @@ from mub6 import (
     SearchConfig,
     format_matrix,
     hw_eigenbasis,
+    is_mu_pair,
     is_unitary,
     make_family_pair,
     make_Ftilde,
@@ -226,6 +227,21 @@ def test_huge_entries_fail_before_any_product_overflows():
         ProductLabel([edge, 0], np.eye(3)[:, 0])
     with pytest.raises(FormatError, match="norm 1"):
         orthogonality_graph([[edge, 0], [0, 1]])
+
+
+def test_is_mu_pair_fails_on_huge_entries_without_overflow():
+    # Raw matrices reach is_mu_pair without Basis's Gram guard; squaring a
+    # 1e200 overlap would raise RuntimeWarning here.
+    check = is_mu_pair(1e200 * np.eye(2), np.eye(2))
+    assert (check.ok, check.worst_deviation, check.worst_index) == (False, np.inf, (0, 0))
+    f2 = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
+    second = f2.astype(complex)
+    second[0, 1] = second[1, 1] = complex(1.7e308, 1.7e308)
+    check = is_mu_pair(np.eye(2), second)
+    assert (check.ok, check.worst_deviation, check.worst_index) == (False, np.inf, (0, 1))
+    # Products past the double range meet inf - inf: a NaN deviation fails too.
+    check = is_mu_pair(second, second)
+    assert not check.ok and np.isnan(check.worst_deviation)
 
 
 def test_gram_guard_reports_the_first_column_past_one():

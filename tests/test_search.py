@@ -1,5 +1,12 @@
+import errno
 import math
+import mmap
+import os
+import signal
+import threading
+import time
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,7 +119,47 @@ def test_find_mu_vectors_d3():
         assert degree == [2] * 6
 
 
-def test_find_mu_vectors_deterministic_and_chunk_independent():
+def _same_result(a, b):
+    return (len(a), a.hits, a.residuals) == (len(b), b.hits, b.residuals) and all(
+        np.array_equal(u, v) for u, v in zip(a.vectors, b.vectors)
+    )
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _force_blocks(monkeypatch, blocks):
+    """Split every budget of 16 * blocks restarts or more into blocks. Returns
+    a record of the fork attempts and of the restarts per solve made here."""
+    monkeypatch.setattr(search, "_BLOCK", 16)
+    monkeypatch.setattr(search, "_usable_cpus", lambda: blocks)
+    calls = SimpleNamespace(forks=[], here=[])
+    fork, solve, parent = search._fork, search._solve_phases, os.getpid()
+
+    def counted_fork():
+        calls.forks.append(None)
+        return fork()
+
+    def counted_solve(phases, *args):
+        if os.getpid() == parent:
+            calls.here.append(phases.shape[1])
+        return solve(phases, *args)
+
+    monkeypatch.setattr(search, "_fork", counted_fork)
+    monkeypatch.setattr(search, "_solve_phases", counted_solve)
+    return calls
+
+
+def _small_block_runs():
+    # Small S6 and P0 budgets, solved in one process.
+    runs = [(reduce_P2()[0], SearchConfig(restarts=300, master_seed=5))]
+    runs.append((make_family_pair("P0"), SearchConfig(restarts=200, master_seed=9)))
+    return [(pair, cfg, find_mu_vectors(pair, cfg)) for pair, cfg in runs]
+
+
+def test_find_mu_vectors_deterministic_and_chunk_independent(monkeypatch):
     # The d = 6 run merges the rows of six chunks in the batched recheck, sort
     # and clustering.
     runs = [(pair, SearchConfig(restarts=300, master_seed=9), 17) for pair in pairs_d3()]
@@ -127,6 +174,105 @@ def test_find_mu_vectors_deterministic_and_chunk_independent():
             assert a.residuals == other.residuals
             for u, v in zip(a.vectors, other.vectors):
                 assert np.array_equal(u, v)
+    # 1, 2 and 3 blocks of restarts, all but the first solved in forked
+    # children, give the bits of one process, with and without chunking.
+    for pair, cfg, one in _small_block_runs():
+        for blocks in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                calls = _force_blocks(patch, blocks)
+                for chunk in (search._WIDTH, 37):
+                    got = find_mu_vectors(pair, cfg, _chunk=chunk)
+                    _assert_no_child_left()
+                    assert _same_result(got, one)
+            # This process solved block 0 alone.
+            assert len(calls.forks) == 2 * (blocks - 1)
+            assert calls.here == [cfg.restarts // blocks] * 2
+
+
+@pytest.mark.parametrize("failing", ["every fork", "first fork", "shared memory"])
+def test_block_that_cannot_fork_is_solved_in_process(monkeypatch, failing):
+    fork = os.fork
+    attempts = []
+
+    def fork_fails():
+        attempts.append(None)
+        if failing == "every fork" or len(attempts) == 1:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    def no_memory(*args):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    # (fork attempts, solves made here) with three blocks.
+    expected = {"every fork": (2, 3), "first fork": (2, 2), "shared memory": (0, 1)}[failing]
+    for pair, cfg, one in _small_block_runs():
+        attempts.clear()
+        with monkeypatch.context() as patch:
+            calls = _force_blocks(patch, 3)
+            patch.setattr(os, "fork", fork_fails)
+            if failing == "shared memory":
+                patch.setattr(mmap, "mmap", no_memory)
+            got = find_mu_vectors(pair, cfg)
+        _assert_no_child_left()
+        assert (len(calls.forks), len(calls.here)) == expected
+        assert _same_result(got, one)
+
+
+@pytest.mark.parametrize("how", ["raises", "is killed"])
+def test_failed_child_block_is_solved_in_process(monkeypatch, how):
+    parent = os.getpid()
+    solve = search._solve_phases
+
+    def fails_in_child(*args):
+        if os.getpid() != parent:
+            if how == "is killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("child solve failed")
+        return solve(*args)
+
+    for pair, cfg, one in _small_block_runs():
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_solve_phases", fails_in_child)
+            calls = _force_blocks(patch, 3)
+            got = find_mu_vectors(pair, cfg)
+        _assert_no_child_left()
+        assert (len(calls.forks), len(calls.here)) == (2, 3)
+        assert _same_result(got, one)
+
+
+def test_failed_parent_block_stops_and_reaps_children(monkeypatch):
+    parent = os.getpid()
+
+    def slow_in_child_fails_here(*args):
+        if os.getpid() != parent:
+            time.sleep(30)
+        raise MemoryError("parent block")
+
+    monkeypatch.setattr(search, "_solve_phases", slow_in_child_fails_here)
+    calls = _force_blocks(monkeypatch, 3)
+    start = time.monotonic()
+    with pytest.raises(MemoryError, match="parent block"):
+        find_mu_vectors(make_family_pair("P0"), SearchConfig(restarts=200, master_seed=9))
+    # The children were killed, not waited for.
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+    assert len(calls.forks) == 2
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    (pair, cfg, one), _ = _small_block_runs()
+    calls = _force_blocks(monkeypatch, 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(30,))
+    thread.start()
+    try:
+        got = find_mu_vectors(pair, cfg)
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+    assert (calls.forks, calls.here) == ([], [cfg.restarts])
+    assert _same_result(got, one)
 
 
 def test_cluster_count_monotone_in_restarts():
