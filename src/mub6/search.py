@@ -4,11 +4,7 @@ for extension bases."""
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +21,11 @@ _DAMPING_CAP = 1e12
 # The most restarts the solver keeps live at once.
 _WIDTH = 4096
 
-# The fewest restarts worth a process of their own: find_mu_vectors solves
-# min(usable CPUs, restarts // _BLOCK) contiguous blocks at once.
-_BLOCK = 2048
+# find_mu_vectors solves restarts in rounds that end at _ROUND * 2**k
+# restarts, capped at cfg.restarts, and stops after the first round that
+# leaves every cluster with at least _SATURATED hits.
+_ROUND = 2048
+_SATURATED = 16
 
 # MAX_ITERS caps the Levenberg-Marquardt steps each restart takes;
 # RESIDUAL_TOL is both where a restart stops and what it must reach to be
@@ -40,11 +38,11 @@ CLUSTER_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Restart budget and seeding of the search.
+    """Restart cap and seeding of the search.
 
     Restart k draws its start phases from its own counter blocks of one
     Philox stream keyed by master_seed, so results do not depend on the batch
-    width or on how many processes split the restarts.
+    width or on where a round of restarts begins.
     """
 
     restarts: int = 20000
@@ -69,13 +67,17 @@ class MUVectorSet:
 
     Vectors are gauge-fixed representatives (largest-modulus component real
     positive), each with the best residual seen in its cluster and the number
-    of restarts that converged into the cluster.
+    of restarts that converged into the cluster. restarts_run is how many
+    restarts the search solved, and saturated whether every cluster had at
+    least _SATURATED hits when it stopped.
     """
 
     pair: MUPair
     vectors: tuple[np.ndarray, ...]
     residuals: tuple[float, ...]
     hits: tuple[int, ...]
+    restarts_run: int
+    saturated: bool
     manifold_warning: bool = False
 
     def __len__(self) -> int:
@@ -142,17 +144,17 @@ def _recheck(v: np.ndarray, basis_conj: np.ndarray, target: float) -> np.ndarray
     return sum(devs.T * devs.T)
 
 
-def _start_phases(master_seed: int, n: int, dim: int) -> np.ndarray:
-    """Free start phases phi_1..phi_{d-1} of restarts 0..n-1 as a
-    (dim - 1, n) array, one column per restart (phi_0 is pinned to 0).
+def _start_phases(master_seed: int, lo: int, hi: int, dim: int) -> np.ndarray:
+    """Free start phases phi_1..phi_{d-1} of restarts lo..hi-1 as a
+    (dim - 1, hi - lo) array, one column per restart (phi_0 is pinned to 0).
 
     Each restart reads ceil((d - 1) / 4) counter blocks of four doubles,
     restart k the k-th such run, of one Philox stream keyed by master_seed,
     so it depends only on (master_seed, k).
     """
     blocks = -(-(dim - 1) // 4)
-    draws = np.random.Generator(np.random.Philox(key=master_seed)).random((n, 4 * blocks))
-    return 2.0 * np.pi * draws[:, : dim - 1].T
+    bits = np.random.Philox(key=master_seed, counter=blocks * lo)
+    return 2.0 * np.pi * np.random.Generator(bits).random((hi - lo, 4 * blocks))[:, : dim - 1].T
 
 
 def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -298,99 +300,6 @@ def _solve_phases(
     return out
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on, or 1 where the OS cannot tell (only
-    Linux can, and it can also fork)."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _fork() -> int:
-    """os.fork, quiet about threads that only the OS sees.
-
-    Python 3.12 warns on a fork while the process has more than one OS thread,
-    and OpenBLAS keeps a worker thread from `import numpy` on. OpenBLAS stops
-    its workers around a fork (pthread_atfork) and the child runs no BLAS, and
-    _solve_blocks does not fork while another Python thread is alive. So that
-    one warning is ignored here, where the filter cannot let it be raised in
-    the parent after the child already exists.
-    """
-    with warnings.catch_warnings():
-        warnings.filterwarnings(
-            "ignore", r"This process .* is multi-threaded, use of fork\(\)", DeprecationWarning
-        )
-        return os.fork()
-
-
-def _reaped_ok(pid: int) -> bool:
-    """Wait for child pid; True iff it exited with status 0."""
-    try:
-        return os.waitpid(pid, 0)[1] == 0
-    except ChildProcessError:  # already reaped elsewhere: its status is lost
-        return False
-
-
-def _solve_blocks(phases: np.ndarray, h_conj: np.ndarray, width: int) -> np.ndarray:
-    """_solve_phases over k = min(usable CPUs, restarts // _BLOCK) contiguous
-    blocks of restarts solved at once, each with the given width.
-
-    This process solves block 0; each other block runs in a forked child that
-    writes its columns into anonymous shared memory and leaves by os._exit.
-    Each restart's arithmetic does not depend on the batch, so the columns
-    are bit-identical to one _solve_phases call. A block whose fork fails or
-    whose child does not exit with status 0 is solved here instead. With one
-    block, or another Python thread alive (forking it would copy its locks
-    wherever they are), nothing forks. Every child is reaped before return.
-    """
-    n = phases.shape[1]
-    k = min(_usable_cpus(), n // _BLOCK)
-    if k < 2 or threading.active_count() > 1:
-        return _solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL, width)
-    import mmap  # here, as signal below, so that `import mub6` loads neither
-
-    try:
-        shared = mmap.mmap(-1, len(h_conj) * n * np.dtype(complex).itemsize)
-    except OSError:  # no shared memory to be had: one process does it all
-        return _solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL, width)
-    found = np.frombuffer(shared, dtype=complex).reshape(len(h_conj), n)
-    bounds = [n * i // k for i in range(k + 1)]
-
-    def solve(i: int) -> None:
-        lo, hi = bounds[i], bounds[i + 1]
-        found[:, lo:hi] = _solve_phases(phases[:, lo:hi], h_conj, MAX_ITERS, RESIDUAL_TOL, width)
-
-    children: dict[int, int] = {}
-    try:
-        for i in range(1, k):
-            try:
-                pid = _fork()
-            except OSError:
-                continue
-            if pid == 0:
-                status = 1
-                try:
-                    solve(i)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children[i] = pid
-        solve(0)
-        for i in range(1, k):
-            ok = i in children and _reaped_ok(children[i])
-            children.pop(i, None)
-            if not ok:
-                solve(i)
-    finally:
-        # Only an exception gets here with children left: stop them, then reap.
-        if children:
-            import signal
-
-            for pid in children.values():
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                _reaped_ok(pid)
-    return found
-
-
 def _gauge_fix(v: np.ndarray) -> np.ndarray:
     """Make the first component of largest modulus of each row real positive,
     the output convention of reported vectors (the clusters do not use it).
@@ -438,19 +347,47 @@ def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarr
     return np.array(centers, dtype=int), reps, np.bincount(owner)
 
 
+def _cluster_more(
+    clusters: tuple[np.ndarray, ...], vecs: np.ndarray, res: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Leader clustering continued over further columns vecs (with residuals
+    res): clusters holds, per cluster found in earlier columns, its center and
+    representative (as (d, m) columns), the representative's residual and
+    the cluster's hits, and the same comes back for the extended columns.
+
+    _cluster runs on [old centers | vecs]. The old centers lie pairwise at
+    least CLUSTER_TOL apart and precede every new column, and each distance
+    is computed the same way in any batch, so this is exactly _cluster on
+    all the columns seen so far. A representative moves only to a strictly
+    lower new residual.
+    """
+    centers, reps, best, hits = clusters
+    columns, residuals = np.hstack([centers, vecs]), np.concatenate([best, res])
+    new_centers, new_reps, new_hits = _cluster(columns, residuals, CLUSTER_TOL)
+    # Old cluster j is center j of the call, and its own column is its first hit.
+    new_hits[: len(hits)] += hits - 1
+    # Old cluster j's column is j in [reps | vecs] too, with the same residual.
+    reps = np.hstack([reps, vecs])[:, new_reps]
+    return columns[:, new_centers], reps, residuals[new_reps], new_hits
+
+
 def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MUVectorSet:
     """Collect and cluster all vectors found MU to a pair.
 
     Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
-    I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs cfg.restarts
-    independent seeded solves for the d - 1 free phases, as contiguous blocks
-    in forked processes when there are CPUs and restarts enough for more than
-    one (_solve_blocks), pulls each back in this process as v = A u, keeps
-    solutions with residual <= RESIDUAL_TOL that also pass an independently
-    accumulated re-check, clusters the survivors up to global phase in restart
-    order, and lists the gauge-fixed representatives by their rounded
-    components. Deterministic for a given (pair, cfg), bit for bit whatever
-    the CPU count; _chunk only controls batching and never the result.
+    I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs independent
+    seeded solves for the d - 1 free phases in rounds that end at _ROUND,
+    2 _ROUND, 4 _ROUND, ... restarts, capped at cfg.restarts. Each round pulls
+    its solutions back as v = A u, keeps those with residual <= RESIDUAL_TOL
+    that also pass an independently accumulated re-check, and clusters them
+    up to global phase after those of earlier rounds, in restart order. The
+    search stops after the first round that leaves every cluster with
+    _SATURATED hits, or at the cap. The gauge-fixed representatives are listed
+    by their rounded components.
+
+    The round ends do not depend on the cap, so a search that stops after N
+    restarts equals, bit for bit, one capped at N. Deterministic for a given
+    (pair, cfg); _chunk only controls batching and never the result.
     """
     d = pair.dim
     a = pair.first.matrix
@@ -459,40 +396,50 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     target = 1.0 / d
 
     # numpy raises ValueError, not MemoryError, for an array whose size in
-    # bytes its index type cannot hold; the (d, restarts) complex solver
-    # output is the largest array of the search.
+    # bytes its index type cannot hold; a cap whose (d, cap) complex solver
+    # output it could not address is refused before any round.
     if d * cfg.restarts * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
         raise MemoryError(f"{cfg.restarts} restarts need more memory than numpy can address")
-    phases = _start_phases(cfg.master_seed, cfg.restarts, d)
-    found = _solve_blocks(phases, h_conj, _chunk)
-    # Pull back, residual and recheck a chunk at a time, moving the accepted
-    # rows to the front of the solver's output.
-    res = np.empty(cfg.restarts)
-    kept = 0
-    for lo in range(0, cfg.restarts, _chunk):
-        v = _overlaps(found[:, lo : lo + _chunk], a.T)
-        f, _ = _residual(_overlaps(v, basis_conj), target)
-        keep = f <= RESIDUAL_TOL
-        keep[keep] = _recheck(v.T[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
-        k = np.count_nonzero(keep)
-        found[:, kept : kept + k] = v[:, keep]
-        res[kept : kept + k] = f[keep]
-        kept += k
-    vecs, res = found[:, :kept], res[:kept]
-    centers, reps, hits = _cluster(vecs, res, CLUSTER_TOL)
+    empty = np.empty((d, 0), dtype=complex)
+    clusters = (empty, empty, np.empty(0), np.empty(0, dtype=int))
+    lo, hi = 0, min(_ROUND, cfg.restarts)
+    while True:
+        phases = _start_phases(cfg.master_seed, lo, hi, d)
+        found = _solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL, _chunk)
+        # Pull back, residual and recheck a chunk at a time, moving the
+        # accepted rows to the front of the solver's output.
+        res = np.empty(hi - lo)
+        kept = 0
+        for c in range(0, hi - lo, _chunk):
+            v = _overlaps(found[:, c : c + _chunk], a.T)
+            f, _ = _residual(_overlaps(v, basis_conj), target)
+            keep = f <= RESIDUAL_TOL
+            keep[keep] = _recheck(v.T[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
+            k = np.count_nonzero(keep)
+            found[:, kept : kept + k] = v[:, keep]
+            res[kept : kept + k] = f[keep]
+            kept += k
+        clusters = _cluster_more(clusters, found[:, :kept], res[:kept])
+        centers, reps, best, hits = clusters
+        saturated = bool(hits.size) and int(hits.min()) >= _SATURATED
+        if saturated or hi == cfg.restarts:
+            break
+        lo, hi = hi, min(2 * hi, cfg.restarts)
 
     # A continuum of solutions shows up as centers packed close to the
     # clustering scale; flag it rather than trying to parameterize it.
-    center_vecs = vecs[:, centers].T
+    center_vecs = centers.T
     dists_sq = np.maximum(2.0 - 2.0 * np.abs(center_vecs @ center_vecs.conj().T), 0.0)
     np.fill_diagonal(dists_sq, np.inf)
     manifold = bool(np.sqrt(dists_sq.min(initial=np.inf)) < 100.0 * CLUSTER_TOL)
 
-    out = _gauge_fix(vecs[:, reps].T)
+    out = _gauge_fix(reps.T)
     order = np.lexsort(np.round(np.concatenate([out.real, out.imag], axis=1), 9).T[::-1])
-    out, reps = out[order], reps[order]
+    out = out[order]
     out.setflags(write=False)
-    return MUVectorSet(pair, tuple(out), tuple(res[reps].tolist()), tuple(hits[order].tolist()), manifold)
+    return MUVectorSet(
+        pair, tuple(out), tuple(best[order].tolist()), tuple(hits[order].tolist()), hi, saturated, manifold
+    )
 
 
 def orthogonality_graph(vectors) -> OrthoGraph:

@@ -129,6 +129,8 @@ def extension_result_to_dict(result: ExtensionResult) -> dict:
             {"vector": [[float(z.real), float(z.imag)] for z in v], "residual": float(r), "hits": int(h)}
             for v, r, h in zip(vecset.vectors, vecset.residuals, vecset.hits)
         ],
+        "restarts_run": int(vecset.restarts_run),
+        "saturated": bool(vecset.saturated),
         "manifold_warning": bool(vecset.manifold_warning),
         "graph": graph_to_dict(result.graph),
         "max_clique_size": int(result.max_clique_size),

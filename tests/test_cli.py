@@ -156,12 +156,17 @@ def test_cli_import_leaves_hashlib_unloaded():
 
 
 def test_search_extend_reports_memory_error(tmp_path, capsys):
-    # The solver's state for 10^15 restarts fits no address space, so this
-    # fails at allocation and never runs the search; at 10^18 and 10^20 its
-    # size in bytes does not even fit numpy's index type.
+    # A cap of 10^15 restarts allocates nothing up front, and S6 saturates
+    # long before it. At 10^18 and 10^20 the solver's state for a search that
+    # ran to the cap would not even fit numpy's index type in bytes, so the
+    # cap is refused before any search.
     pair_file = tmp_path / "s6.json"
     assert run_cli(capsys, "reduce", "--family", "P2", "--out", str(pair_file))[0] == 0
-    for restarts in (10**15, 10**18, 10**20):
+    code, out, _ = run_cli(capsys, "search-extend", "--pair", str(pair_file), "--restarts", str(10**15))
+    data = json.loads(out)
+    assert code == 0 and data["saturated"] and data["restarts_run"] < 10**15
+    assert len(data["clusters"]) == 90
+    for restarts in (10**18, 10**20):
         code, out, err = run_cli(
             capsys, "search-extend", "--pair", str(pair_file), "--restarts", str(restarts)
         )
@@ -386,6 +391,8 @@ def test_search_extend_and_ortho_graph(tmp_path, capsys):
     assert data["max_clique_size"] == 3
     assert len(data["graph"]["edges"]) == 6
     assert all(c["residual"] <= 1e-20 for c in data["clusters"])
+    # A cap below one round runs in full; every cluster then had 58+ hits.
+    assert (data["restarts_run"], data["saturated"]) == (400, True)
 
     code, out, _ = run_cli(capsys, "ortho-graph", "--vectors", str(out_file))
     assert code == 0
@@ -433,7 +440,10 @@ def test_search_extend_keeps_empty_params(tmp_path, capsys):
         "--out", str(out_file),
     )
     assert code == 0
-    assert json.loads(out_file.read_text())["pair"]["params"] == {}
+    data = json.loads(out_file.read_text())
+    assert data["pair"]["params"] == {}
+    # 20 restarts leave some of the 48 clusters with a single hit.
+    assert (data["restarts_run"], data["saturated"]) == (20, False)
 
 
 def test_pair_json_round_trip_matches_memory(tmp_path, capsys):

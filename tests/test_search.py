@@ -1,12 +1,5 @@
-import errno
 import math
-import mmap
-import os
-import signal
-import threading
-import time
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +15,7 @@ from mub6 import (
     find_mu_vectors,
     hw_eigenbasis,
     is_mu_pair,
+    make_Ftilde,
     make_family_pair,
     orthogonality_graph,
     reduce_P2,
@@ -31,6 +25,7 @@ from mub6 import search
 from mub6.search import (
     _cayley,
     _cluster,
+    _cluster_more,
     _damped_step,
     _gauge_fix,
     _recheck,
@@ -125,41 +120,7 @@ def _same_result(a, b):
     )
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _force_blocks(monkeypatch, blocks):
-    """Split every budget of 16 * blocks restarts or more into blocks. Returns
-    a record of the fork attempts and of the restarts per solve made here."""
-    monkeypatch.setattr(search, "_BLOCK", 16)
-    monkeypatch.setattr(search, "_usable_cpus", lambda: blocks)
-    calls = SimpleNamespace(forks=[], here=[])
-    fork, solve, parent = search._fork, search._solve_phases, os.getpid()
-
-    def counted_fork():
-        calls.forks.append(None)
-        return fork()
-
-    def counted_solve(phases, *args):
-        if os.getpid() == parent:
-            calls.here.append(phases.shape[1])
-        return solve(phases, *args)
-
-    monkeypatch.setattr(search, "_fork", counted_fork)
-    monkeypatch.setattr(search, "_solve_phases", counted_solve)
-    return calls
-
-
-def _small_block_runs():
-    # Small S6 and P0 budgets, solved in one process.
-    runs = [(reduce_P2()[0], SearchConfig(restarts=300, master_seed=5))]
-    runs.append((make_family_pair("P0"), SearchConfig(restarts=200, master_seed=9)))
-    return [(pair, cfg, find_mu_vectors(pair, cfg)) for pair, cfg in runs]
-
-
-def test_find_mu_vectors_deterministic_and_chunk_independent(monkeypatch):
+def test_find_mu_vectors_deterministic_and_chunk_independent():
     # The d = 6 run merges the rows of six chunks in the batched recheck, sort
     # and clustering.
     runs = [(pair, SearchConfig(restarts=300, master_seed=9), 17) for pair in pairs_d3()]
@@ -174,105 +135,78 @@ def test_find_mu_vectors_deterministic_and_chunk_independent(monkeypatch):
             assert a.residuals == other.residuals
             for u, v in zip(a.vectors, other.vectors):
                 assert np.array_equal(u, v)
-    # 1, 2 and 3 blocks of restarts, all but the first solved in forked
-    # children, give the bits of one process, with and without chunking.
-    for pair, cfg, one in _small_block_runs():
-        for blocks in (1, 2, 3):
-            with monkeypatch.context() as patch:
-                calls = _force_blocks(patch, blocks)
-                for chunk in (search._WIDTH, 37):
-                    got = find_mu_vectors(pair, cfg, _chunk=chunk)
-                    _assert_no_child_left()
-                    assert _same_result(got, one)
-            # This process solved block 0 alone.
-            assert len(calls.forks) == 2 * (blocks - 1)
-            assert calls.here == [cfg.restarts // blocks] * 2
 
 
-@pytest.mark.parametrize("failing", ["every fork", "first fork", "shared memory"])
-def test_block_that_cannot_fork_is_solved_in_process(monkeypatch, failing):
-    fork = os.fork
-    attempts = []
-
-    def fork_fails():
-        attempts.append(None)
-        if failing == "every fork" or len(attempts) == 1:
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    def no_memory(*args):
-        raise OSError(errno.ENOMEM, "Cannot allocate memory")
-
-    # (fork attempts, solves made here) with three blocks.
-    expected = {"every fork": (2, 3), "first fork": (2, 2), "shared memory": (0, 1)}[failing]
-    for pair, cfg, one in _small_block_runs():
-        attempts.clear()
-        with monkeypatch.context() as patch:
-            calls = _force_blocks(patch, 3)
-            patch.setattr(os, "fork", fork_fails)
-            if failing == "shared memory":
-                patch.setattr(mmap, "mmap", no_memory)
-            got = find_mu_vectors(pair, cfg)
-        _assert_no_child_left()
-        assert (len(calls.forks), len(calls.here)) == expected
-        assert _same_result(got, one)
+def test_search_stops_once_saturated():
+    # S6 and P0 saturate long before a cap of 20k, and a search that stops
+    # after N restarts equals one capped at N, at any chunk size.
+    for pair in (reduce_P2()[0], make_family_pair("P0")):
+        got = find_mu_vectors(pair, SearchConfig(restarts=20000, master_seed=3))
+        n = got.restarts_run
+        assert got.saturated and n < 20000 and min(got.hits) >= search._SATURATED
+        assert n % search._ROUND == 0
+        for chunk in (search._WIDTH, 37):
+            capped = find_mu_vectors(pair, SearchConfig(restarts=n, master_seed=3), _chunk=chunk)
+            assert _same_result(capped, got)
+            assert (capped.restarts_run, capped.saturated) == (n, True)
 
 
-@pytest.mark.parametrize("how", ["raises", "is killed"])
-def test_failed_child_block_is_solved_in_process(monkeypatch, how):
-    parent = os.getpid()
-    solve = search._solve_phases
+@pytest.mark.parametrize("cap", [32, 64, 400, 2047])
+def test_cap_below_one_round_solves_once(monkeypatch, cap):
+    # Criterion 5's 64 and 400 restarts and criterion 9's 32 run as one
+    # solve over every restart, clustered in one _cluster call, as without
+    # rounds.
+    solves, clusters = [], []
+    solve, cluster = search._solve_phases, search._cluster
 
-    def fails_in_child(*args):
-        if os.getpid() != parent:
-            if how == "is killed":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise RuntimeError("child solve failed")
-        return solve(*args)
+    def counted_solve(phases, *args):
+        solves.append(phases.shape[1])
+        return solve(phases, *args)
 
-    for pair, cfg, one in _small_block_runs():
-        with monkeypatch.context() as patch:
-            patch.setattr(search, "_solve_phases", fails_in_child)
-            calls = _force_blocks(patch, 3)
-            got = find_mu_vectors(pair, cfg)
-        _assert_no_child_left()
-        assert (len(calls.forks), len(calls.here)) == (2, 3)
-        assert _same_result(got, one)
+    def counted_cluster(vecs, *args):
+        clusters.append(vecs.shape[1])
+        return cluster(vecs, *args)
 
-
-def test_failed_parent_block_stops_and_reaps_children(monkeypatch):
-    parent = os.getpid()
-
-    def slow_in_child_fails_here(*args):
-        if os.getpid() != parent:
-            time.sleep(30)
-        raise MemoryError("parent block")
-
-    monkeypatch.setattr(search, "_solve_phases", slow_in_child_fails_here)
-    calls = _force_blocks(monkeypatch, 3)
-    start = time.monotonic()
-    with pytest.raises(MemoryError, match="parent block"):
-        find_mu_vectors(make_family_pair("P0"), SearchConfig(restarts=200, master_seed=9))
-    # The children were killed, not waited for.
-    assert time.monotonic() - start < 10
-    _assert_no_child_left()
-    assert len(calls.forks) == 2
+    monkeypatch.setattr(search, "_solve_phases", counted_solve)
+    monkeypatch.setattr(search, "_cluster", counted_cluster)
+    for pair in (pair_zx_d3(), reduce_P2()[0]):
+        solves.clear()
+        clusters.clear()
+        got = find_mu_vectors(pair, SearchConfig(restarts=cap, master_seed=0))
+        assert (solves, clusters) == ([cap], [sum(got.hits)])
+        assert got.restarts_run == cap
 
 
-def test_no_fork_while_another_thread_runs(monkeypatch):
-    (pair, cfg, one), _ = _small_block_runs()
-    calls = _force_blocks(monkeypatch, 2)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait, args=(30,))
-    thread.start()
-    try:
-        got = find_mu_vectors(pair, cfg)
-    finally:
-        stop.set()
-        thread.join(10)
-    assert not thread.is_alive()
-    assert (calls.forks, calls.here) == ([], [cfg.restarts])
-    assert _same_result(got, one)
+def test_continuum_point_runs_to_the_cap():
+    # {I, F~(2 pi/3, 2 pi/3)} has a continuum of MU vectors: every round
+    # finds new clusters of one hit.
+    pair = MUPair(Basis(np.eye(6, dtype=complex)), Basis(make_Ftilde(2 * np.pi / 3, 2 * np.pi / 3)))
+    got = find_mu_vectors(pair, SearchConfig(restarts=4096, master_seed=0))
+    assert (got.restarts_run, got.saturated) == (4096, False)
+    assert min(got.hits) < search._SATURATED
+
+
+def test_cluster_more_matches_one_cluster_call():
+    # Leader clustering continued round by round, over pieces of columns,
+    # equals one _cluster call on all of them: the same centers, hits,
+    # representatives and residuals, ties going to the earlier column.
+    rng = np.random.default_rng(11)
+    for n, tol, cuts in ((400, 0.3, (0, 1, 57, 200, 400)), (400, 0.6, (0, 150, 151, 400)), (60, 1e-6, (0, 30, 60))):
+        vecs = rng.random((3, n)) + 1j * rng.random((3, n))
+        vecs = vecs / np.linalg.norm(vecs, axis=0) * np.exp(2j * np.pi * rng.random(n))
+        res = rng.integers(0, 4, n) * 1e-21
+        empty = np.empty((3, 0), dtype=complex)
+        clusters = (empty, empty, np.empty(0), np.empty(0, dtype=int))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "CLUSTER_TOL", tol)
+            for lo, hi in zip(cuts, cuts[1:]):
+                clusters = _cluster_more(clusters, vecs[:, lo:hi], res[lo:hi])
+        centers, reps, hits = _cluster(vecs, res, tol)
+        assert np.array_equal(clusters[0], vecs[:, centers])
+        assert np.array_equal(clusters[1], vecs[:, reps])
+        assert np.array_equal(clusters[2], res[reps])
+        assert clusters[3].tolist() == hits.tolist()
+        assert len(centers) < n or tol < 1e-3
 
 
 def test_cluster_count_monotone_in_restarts():
@@ -456,7 +390,7 @@ def test_damped_step_matches_dense_solve():
 
 def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
     h_conj = _h_conj(pair_zx_d3())
-    phases = _start_phases(0, 8, 3)
+    phases = _start_phases(0, 0, 8, 3)
     plain = _solve_phases(phases, h_conj, 200, 1e-20)
     calls = []
 
@@ -496,7 +430,7 @@ def test_one_restart_batches_match_full_batches():
     runs += [(make_family_pair("P0"), 30, 2000), (_fourier8_pair(), 12, 40)]
     for pair, n, max_iters in runs:
         h_conj = _h_conj(pair)
-        phases = _start_phases(4, n, pair.dim)
+        phases = _start_phases(4, 0, n, pair.dim)
         batch = _solve_phases(phases, h_conj, max_iters, 1e-20)
         alone = [_solve_phases(phases[:, k : k + 1], h_conj, max_iters, 1e-20) for k in range(n)]
         assert np.array_equal(batch, np.hstack(alone))
@@ -524,7 +458,7 @@ def test_solve_phases_width_does_not_change_bits():
     runs += [(make_family_pair("P0"), 30, 2000), (_fourier8_pair(), 12, 40)]
     for pair, n, max_iters in runs:
         h_conj = _h_conj(pair)
-        phases = _start_phases(4, n, pair.dim)
+        phases = _start_phases(4, 0, n, pair.dim)
         full = _solve_phases(phases, h_conj, max_iters, 1e-20, width=n)
         for width in (1, 7):
             assert np.array_equal(_solve_phases(phases, h_conj, max_iters, 1e-20, width), full)
@@ -535,15 +469,19 @@ def test_start_phases_of_fewer_restarts_are_a_prefix(dim):
     # Restart k reads the k-th run of counter blocks whatever the budget, so
     # its start phases depend only on (master_seed, k). Each restart reads one
     # block of four doubles at d = 3 and two at d = 6, 8 and 9.
-    full = _start_phases(5, 50, dim)
-    assert full.shape == (dim - 1, 50)
-    for m in (1, 17, 49):
-        assert np.array_equal(_start_phases(5, m, dim), full[:, :m])
+    # A round draws only its own range, from the counter its first restart
+    # reads, and gets the bits of one draw for every restart up front.
+    blocks = -(-(dim - 1) // 4)
+    up_front = np.random.Generator(np.random.Philox(key=5)).random((50, 4 * blocks))
+    full = _start_phases(5, 0, 50, dim)
+    assert np.array_equal(full, 2.0 * np.pi * up_front[:, : dim - 1].T)
+    for lo, hi in ((0, 1), (0, 17), (0, 49), (3, 4), (17, 49), (49, 50)):
+        assert np.array_equal(_start_phases(5, lo, hi, dim), full[:, lo:hi])
 
 
 def test_refilled_restart_takes_max_iters_steps(monkeypatch):
     h_conj = _h_conj(pair_zx_d3())
-    phases = _start_phases(0, 3, 3)
+    phases = _start_phases(0, 0, 3, 3)
     starts = _solve_phases(phases, h_conj, 0, 1e-20)
     calls = []
 
@@ -565,7 +503,7 @@ def test_refilled_restart_takes_max_iters_steps(monkeypatch):
 def test_cayley_update_keeps_u_flat():
     pair, _ = reduce_P2()
     h_conj = _h_conj(pair)
-    u = _solve_phases(_start_phases(0, 2000, 6), h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
+    u = _solve_phases(_start_phases(0, 0, 2000, 6), h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
     assert np.abs(np.abs(u) - 1 / math.sqrt(6)).max() <= 1e-15
     assert np.array_equal(_cayley(u, np.zeros((5, 2000))), u)
     vecset = find_mu_vectors(pair, SearchConfig(restarts=2000, master_seed=0))
