@@ -8,6 +8,7 @@ stderr), 2 on usage errors. All randomness enters through --seed (default 0).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import stat
 import sys
@@ -188,17 +189,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one known command, the one argparse builds as that
+    subparser; built on the command's first call in a process, then reused.
+    Parsing leaves it unchanged, and help and usage text get a new formatter,
+    so they still wrap to the terminal width at the time they print."""
+    parser = argparse.ArgumentParser(prog=f"mub6 {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
 def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
     """The command and its arguments.
 
-    A known command is parsed by its own parser, the one argparse builds as
-    that subparser. Anything else, and flags that parser leaves over, goes to
-    the full parser, which prints the help, usage and errors of `mub6`.
+    A known command is parsed by its own parser. Anything else, and flags
+    that parser leaves over, goes to the full parser, which prints the help,
+    usage and errors of `mub6`.
     """
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"mub6 {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             return argv[0], args
     args = _build_parser().parse_args(argv)

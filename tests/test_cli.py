@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import mub6
 from mub6 import hw_eigenbasis, make_Ftilde, parse_matrix, format_matrix
-from mub6.cli import _build_parser, run
+from mub6.cli import _build_parser, _command_parser, run
 from mub6.serialize import dump_json, pair_to_dict, load_json
 from mub6.bases import Basis, MUPair
 
@@ -119,10 +120,12 @@ def _full_parser_result(capsys, argv):
     ids=" ".join,
 )
 def test_cli_text_matches_full_parser(capsys, argv):
-    # run() builds only the invoked command's subparser; what it prints must
-    # not tell.
+    # run() builds only the invoked command's subparser, and reuses it on the
+    # next call; what it prints must not tell, cold or warm.
     expected = _full_parser_result(capsys, argv)
-    assert run_cli(capsys, *argv) == expected
+    _command_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, *argv) == expected
     code, out, err = expected
     if argv and argv[-1] == "--help":
         assert code == 0 and out.startswith("usage: mub6") and err == ""
@@ -139,13 +142,91 @@ def test_cli_text_matches_full_parser(capsys, argv):
         assert "error: argument command: invalid choice: 'no-such-command'" in err
 
 
-def _loads_hashlib(statement):
-    """Whether a fresh interpreter that runs `statement` has hashlib loaded."""
+def test_help_wraps_to_the_width_at_each_call(monkeypatch, capsys):
+    # argparse reads the terminal width when it prints, so a warm parser
+    # wraps as a freshly built one does at every width.
+    _command_parser.cache_clear()
+    helps = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.append(run_cli(capsys, "construct", "--help"))
+        assert helps[-1] == _full_parser_result(capsys, ["construct", "--help"])
+    assert helps[0] != helps[1]
+    assert max(map(len, helps[0][1].splitlines())) <= 60 < max(map(len, helps[1][1].splitlines()))
+
+
+def test_second_call_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _command_parser.cache_clear()
+    for argv in (["--family", "P0"], ["--family", "P1", "--xi", "0.7", "--eta", "1.3"], ["--family", "P2"]):
+        assert run_cli(capsys, "construct", *argv)[0] == 0
+    assert built == ["mub6 construct"]
+    assert _command_parser.cache_info().hits == 2
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["construct", "--family", "P1", "--xi", "0.7", "--eta", "1.3"], ["construct", "--family", "P0"]),
+        (["reduce", "--family", "P1", "--xi", "0.7", "--eta", "1.3", "--emit-script", "{s}"],
+         ["reduce", "--family", "P1", "--xi", "0.7", "--eta", "1.3"]),
+        (["fingerprint", "--matrix", "{m}"], ["fingerprint", "--pair", "{p}"]),
+    ],
+    ids=["construct", "reduce", "fingerprint"],
+)
+def test_warm_parser_carries_nothing_over(tmp_path, capsys, first, second):
+    script, pair, matrix = tmp_path / "s.json", tmp_path / "s6.json", tmp_path / "s6.txt"
+    assert run(["reduce", "--family", "P2", "--out", str(pair)]) == 0
+    matrix.write_text(json.loads(pair.read_text())["second"])
+    first, second = ([a.format(s=script, m=matrix, p=pair) for a in argv] for argv in (first, second))
+    expected = []
+    for argv in (first, second):
+        _command_parser.cache_clear()
+        expected.append(run_cli(capsys, *argv))
+        assert expected[-1][0] == 0
+    _command_parser.cache_clear()
+    assert run_cli(capsys, *first) == expected[0]
+    # Only the first call names s.json; the second must not write it.
+    script.write_bytes(b"untouched")
+    assert run_cli(capsys, *second) == expected[1]
+    assert _command_parser.cache_info().hits == 1
+    assert script.read_bytes() == b"untouched"
+
+
+def _fresh_python(code):
+    """Standard output of a fresh interpreter that runs `code` with this mub6."""
     src = os.path.dirname(os.path.dirname(mub6.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = f"import sys\n{statement}\nprint('hashlib' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip() == "True"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+def _loads_hashlib(statement):
+    """Whether a fresh interpreter that runs `statement` has hashlib loaded."""
+    return _fresh_python(f"import sys\n{statement}\nprint('hashlib' in sys.modules)").strip() == "True"
+
+
+def test_import_builds_no_parser_and_a_command_builds_one():
+    out = _fresh_python(
+        "import argparse, os\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import mub6.cli\n"
+        "print(built)\n"
+        "mub6.cli.run(['construct', '--family', 'P0', '--out', os.devnull])\n"
+        "print(built)\n"
+    )
+    assert out.splitlines() == ["[]", "['mub6 construct']"]
 
 
 def test_cli_import_leaves_hashlib_unloaded():
