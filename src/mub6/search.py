@@ -27,6 +27,9 @@ _WIDTH = 4096
 _ROUND = 2048
 _SATURATED = 16
 
+# The most (new column, old center) pairs _cluster_more measures at once.
+_PAIRS = 1 << 14
+
 # MAX_ITERS caps the Levenberg-Marquardt steps each restart takes;
 # RESIDUAL_TOL is both where a restart stops and what it must reach to be
 # accepted; CLUSTER_TOL is a cluster's radius up to phase. find_mu_vectors
@@ -248,9 +251,9 @@ def _solve_phases(
     the phases of u by the LM step through _cayley, so u is built from the
     start phases once. A restart retires once its residual is <= stop, its
     damping passes _DAMPING_CAP or it has taken max_iters steps, and its
-    column is refilled with the next pending restart. Every update is
-    elementwise over the restarts, so trajectories are identical whatever the
-    width.
+    column is refilled with the next pending restart, or dropped once none is
+    pending. Every update is elementwise over the restarts, so trajectories
+    are identical whatever the width.
     """
     d = len(h_conj)
     n = phases.shape[1]
@@ -279,15 +282,17 @@ def _solve_phases(
             out[:, rows[dead]] = u[:, dead]
             # Refill the first k retired columns with the next pending restarts.
             k = min(dead.size, n - admitted)
-            for old, new in zip(batch, start(admitted, admitted + k)):
-                old[..., dead[:k]] = new
-            admitted += k
+            if k:
+                for old, new in zip(batch, start(admitted, admitted + k)):
+                    old[..., dead[:k]] = new
+                admitted += k
+                live[dead[:k]] = True
             if k < dead.size:
-                keep = np.ones(rows.size, dtype=bool)
-                keep[dead[k:]] = False
-                batch = tuple(x[..., keep] for x in batch)
+                batch = tuple(x[..., live] for x in batch)
             # A refilled restart may already be done: check again before stepping.
-            continue
+            if k or not batch[4].size:
+                continue
+            u, w, r, f, rows, damping, steps = batch
         step = _damped_step(h_conj, u, w, r, damping)
         # A restart whose factorisation failed keeps its point: a failed step.
         step[:, ~np.isfinite(step).all(axis=0)] = 0.0
@@ -313,6 +318,20 @@ def _gauge_fix(v: np.ndarray) -> np.ndarray:
     return v * (pivot / np.hypot(pivot.real, pivot.imag)).conj()[:, None]
 
 
+def _key(vecs: np.ndarray) -> np.ndarray:
+    """The clustering's screening key |<x|v>| of each column v, for the unit x
+    with weights 1, 2, ..., d."""
+    weights = np.arange(1.0, len(vecs) + 1)
+    return np.abs(_overlaps(vecs, (weights / np.linalg.norm(weights))[:, None])[0])
+
+
+def _reach(radius: float) -> float:
+    """How far apart the keys of two columns within radius may lie: radius,
+    with room for overlap rounding (~1e-15), which moves distances by
+    ~1e-15 / radius."""
+    return math.sqrt(radius * radius + 1e-12)
+
+
 def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
     """Leader clustering of unit vectors up to global phase, in column order.
 
@@ -324,12 +343,10 @@ def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarr
     by at most that distance. Returns the center columns, the representative
     columns (best residual, the first on ties) and each cluster's hits.
     """
-    weights = np.arange(1.0, len(vecs) + 1)
-    key = np.abs(_overlaps(vecs, (weights / np.linalg.norm(weights))[:, None])[0])
+    key = _key(vecs)
     order = np.argsort(key)
     sorted_key = key[order]
-    # Room for overlap rounding (~1e-15), which moves distances by ~1e-15 / radius.
-    reach = math.sqrt(radius * radius + 1e-12)
+    reach = _reach(radius)
     owner = np.full(vecs.shape[1], -1)
     centers: list[int] = []
     c = 0
@@ -355,20 +372,54 @@ def _cluster_more(
     representative (as (d, m) columns), the representative's residual and
     the cluster's hits, and the same comes back for the extended columns.
 
-    _cluster runs on [old centers | vecs]. The old centers lie pairwise at
-    least CLUSTER_TOL apart and precede every new column, and each distance
-    is computed the same way in any batch, so this is exactly _cluster on
-    all the columns seen so far. A representative moves only to a strictly
-    lower new residual.
+    This is exactly _cluster on all the columns seen so far. There the old
+    centers come first and lie pairwise outside each other's radius, so each
+    stays a center and claims, in turn, the unclaimed new columns in its key
+    window and radius. Here every (new column, old center) pair that the key
+    screens in is measured at once, with the same arithmetic as _cluster, and
+    a column joins the lowest-index old center within radius. The unclaimed
+    columns lie outside every old radius, so _cluster on them alone gives the
+    new clusters. At most _PAIRS pairs are measured at a time. A
+    representative moves only to a strictly lower new residual, the first
+    such column on ties.
     """
     centers, reps, best, hits = clusters
-    columns, residuals = np.hstack([centers, vecs]), np.concatenate([best, res])
-    new_centers, new_reps, new_hits = _cluster(columns, residuals, CLUSTER_TOL)
-    # Old cluster j is center j of the call, and its own column is its first hit.
-    new_hits[: len(hits)] += hits - 1
-    # Old cluster j's column is j in [reps | vecs] too, with the same residual.
-    reps = np.hstack([reps, vecs])[:, new_reps]
-    return columns[:, new_centers], reps, residuals[new_reps], new_hits
+    m, n = len(hits), vecs.shape[1]
+    owner = np.full(n, m)
+    if m and n:
+        center_key, key = _key(centers), _key(vecs)
+        order = np.argsort(center_key)
+        sorted_key = center_key[order]
+        # Center c screens in the keys k with key_c - reach <= k < key_c + reach.
+        reach = _reach(CLUSTER_TOL)
+        begin = np.searchsorted(sorted_key + reach, key, side="right")
+        count = np.searchsorted(sorted_key - reach, key, side="right") - begin
+        ends = np.cumsum(count)
+        centers_conj = centers.conj()
+        for lo in range(0, int(ends[-1]), _PAIRS):
+            pair = np.arange(lo, min(lo + _PAIRS, ends[-1]))
+            col = np.searchsorted(ends, pair, side="right")
+            center = order[begin[col] + pair - ends[col] + count[col]]
+            # Summed as _overlaps sums it in _cluster, so each pair gets its bits.
+            overlap = centers_conj[0, center] * vecs[0, col]
+            for i in range(1, len(vecs)):
+                overlap += centers_conj[i, center] * vecs[i, col]
+            near = 2.0 - 2.0 * np.abs(overlap) < CLUSTER_TOL * CLUSTER_TOL
+            np.minimum.at(owner, col[near], center[near])
+    free = np.flatnonzero(owner == m)
+    new_centers, new_reps, new_hits = _cluster(vecs[:, free], res[free], CLUSTER_TOL)
+    claimed = np.flatnonzero(owner < m)
+    centers = np.hstack([centers, vecs[:, free[new_centers]]])
+    reps = np.hstack([reps, vecs[:, free[new_reps]]])
+    best = np.concatenate([best, res[free[new_reps]]])
+    hits = np.concatenate([hits + np.bincount(owner[claimed], minlength=m), new_hits])
+    # Each old cluster's first claimed column among its best residuals.
+    by_cluster = claimed[np.lexsort((res[claimed], owner[claimed]))]
+    firsts = by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
+    moved = firsts[res[firsts] < best[owner[firsts]]]
+    reps[:, owner[moved]] = vecs[:, moved]
+    best[owner[moved]] = res[moved]
+    return centers, reps, best, hits
 
 
 def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MUVectorSet:

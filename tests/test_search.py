@@ -177,13 +177,32 @@ def test_cap_below_one_round_solves_once(monkeypatch, cap):
         assert got.restarts_run == cap
 
 
-def test_continuum_point_runs_to_the_cap():
+def test_continuum_point_runs_to_the_cap(monkeypatch):
     # {I, F~(2 pi/3, 2 pi/3)} has a continuum of MU vectors: every round
-    # finds new clusters of one hit.
+    # finds new clusters of one hit. Its three rounds, clustered after
+    # hundreds of old centers each, end as one _cluster call on every
+    # accepted column would: compared as floats, not as bytes of a file.
+    rounds, out, more = [], [], search._cluster_more
+
+    def spied(clusters, vecs, res):
+        rounds.append((len(clusters[3]), vecs.copy(), res.copy()))
+        out.append(more(clusters, vecs, res))
+        return out[-1]
+
+    monkeypatch.setattr(search, "_cluster_more", spied)
     pair = MUPair(Basis(np.eye(6, dtype=complex)), Basis(make_Ftilde(2 * np.pi / 3, 2 * np.pi / 3)))
-    got = find_mu_vectors(pair, SearchConfig(restarts=4096, master_seed=0))
-    assert (got.restarts_run, got.saturated) == (4096, False)
+    got = find_mu_vectors(pair, SearchConfig(restarts=6144, master_seed=0))
+    assert (got.restarts_run, got.saturated) == (6144, False)
     assert min(got.hits) < search._SATURATED
+    old, vecs, res = zip(*rounds)
+    assert len(old) == 3 and old[0] == 0 and min(old[1:]) >= 200
+    vecs, res = np.hstack(vecs), np.concatenate(res)
+    centers, reps, hits = _cluster(vecs, res, search.CLUSTER_TOL)
+    final = out[-1]
+    assert np.array_equal(final[0], vecs[:, centers])
+    assert np.array_equal(final[1], vecs[:, reps])
+    assert np.array_equal(final[2], res[reps])
+    assert final[3].tolist() == hits.tolist() and sum(got.hits) == vecs.shape[1]
 
 
 def test_cluster_more_matches_one_cluster_call():
@@ -191,14 +210,40 @@ def test_cluster_more_matches_one_cluster_call():
     # equals one _cluster call on all of them: the same centers, hits,
     # representatives and residuals, ties going to the earlier column.
     rng = np.random.default_rng(11)
+    cases = []
     for n, tol, cuts in ((400, 0.3, (0, 1, 57, 200, 400)), (400, 0.6, (0, 150, 151, 400)), (60, 1e-6, (0, 30, 60))):
         vecs = rng.random((3, n)) + 1j * rng.random((3, n))
         vecs = vecs / np.linalg.norm(vecs, axis=0) * np.exp(2j * np.pi * rng.random(n))
-        res = rng.integers(0, 4, n) * 1e-21
-        empty = np.empty((3, 0), dtype=complex)
+        cases.append((vecs, rng.integers(0, 4, n) * 1e-21, tol, cuts, search._PAIRS))
+    # As in test_cluster_joins_first_center_within_radius, with columns 0 and
+    # 1 the old centers: column 2 lies within radius of both and joins 0.
+    vecs = _real_unit_columns([0, 70, 40, 10, 175, 110], [0, 0, 0, -np.pi / 2, 2.0, 0.5])
+    cases.append((vecs, np.zeros(6), 1.0, (0, 2, 6), search._PAIRS))
+    # One cluster whose representative is column 1, not its center. Column 2
+    # ties its residual and leaves it in place; column 3 is strictly lower
+    # and takes its place, and column 4, which ties column 3, does not.
+    vecs = _real_unit_columns([0, 10, 20, 30, 40], [0, 1, 2, 3, 4])
+    res = np.array([3e-21, 1e-21, 1e-21, 5e-22, 5e-22])
+    cases += [(vecs[:, :3], res[:3], 1.0, (0, 2, 3), search._PAIRS), (vecs, res, 1.0, (0, 2, 5), search._PAIRS)]
+    # Empty rounds, first and later.
+    cases.append((vecs, res, 1.0, (0, 0, 2, 2, 5, 5), search._PAIRS))
+    # A round of new clusters only: 90 and 95 degrees lie outside the radius
+    # of 0 degrees, and 95 joins 90.
+    cases.append((_real_unit_columns([0, 90, 95], [0, 1, 2]), np.zeros(3), 1.0, (0, 1, 3), search._PAIRS))
+    # Every column has the key 0.6 of test_cluster_matches_greedy_loop, so
+    # each new column is paired with every old center: hundreds of pairs a
+    # round, measured in blocks of seven.
+    x = np.arange(1.0, 4.0) / np.linalg.norm(np.arange(1.0, 4.0))
+    perp = rng.normal(size=(3, 300)) + 1j * rng.normal(size=(3, 300))
+    perp -= np.outer(x, x @ perp)
+    vecs = (0.6 * x[:, None] + 0.8 * perp / np.linalg.norm(perp, axis=0)) * np.exp(2j * np.pi * rng.random(300))
+    cases.append((vecs, rng.integers(0, 4, 300) * 1e-21, 0.6, (0, 100, 101, 300), 7))
+    for vecs, res, tol, cuts, pairs in cases:
+        empty = np.empty((len(vecs), 0), dtype=complex)
         clusters = (empty, empty, np.empty(0), np.empty(0, dtype=int))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(search, "CLUSTER_TOL", tol)
+            patch.setattr(search, "_PAIRS", pairs)
             for lo, hi in zip(cuts, cuts[1:]):
                 clusters = _cluster_more(clusters, vecs[:, lo:hi], res[lo:hi])
         centers, reps, hits = _cluster(vecs, res, tol)
@@ -206,7 +251,7 @@ def test_cluster_more_matches_one_cluster_call():
         assert np.array_equal(clusters[1], vecs[:, reps])
         assert np.array_equal(clusters[2], res[reps])
         assert clusters[3].tolist() == hits.tolist()
-        assert len(centers) < n or tol < 1e-3
+        assert len(centers) < vecs.shape[1] or tol < 1e-3
 
 
 def test_cluster_count_monotone_in_restarts():
@@ -419,6 +464,30 @@ def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
         damping *= 10.0
         fails += 1
     assert calls == [1] * fails
+
+
+def test_solve_phases_evaluates_no_empty_batch(monkeypatch):
+    # Whether retired columns are refilled (width 7) or only dropped (a width
+    # that holds every restart), no step or evaluation runs on zero columns.
+    h_conj = _h_conj(pair_zx_d3())
+    phases = _start_phases(0, 0, 40, 3)
+    widths = []
+    overlaps, damped_step = search._overlaps, search._damped_step
+
+    def counted_overlaps(v, m):
+        widths.append(v.shape[1])
+        return overlaps(v, m)
+
+    def counted_step(h_conj, u, *args):
+        widths.append(u.shape[1])
+        return damped_step(h_conj, u, *args)
+
+    monkeypatch.setattr(search, "_overlaps", counted_overlaps)
+    monkeypatch.setattr(search, "_damped_step", counted_step)
+    for width in (7, 40, search._WIDTH):
+        widths.clear()
+        _solve_phases(phases, h_conj, 200, 1e-20, width)
+        assert widths and min(widths) > 0
 
 
 def test_one_restart_batches_match_full_batches():
