@@ -156,8 +156,8 @@ def _fingerprint_args(p: argparse.ArgumentParser) -> None:
 
 def _search_extend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--pair", required=True)
-    p.add_argument("--restarts", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--seed", type=int, default=SearchConfig.master_seed)
     p.add_argument("--out", default=None)
 
 

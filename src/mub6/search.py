@@ -18,7 +18,8 @@ from .linalg import ORTHO_TOL, _is_unit, _numbers, as_vector
 _DAMPING = 1e-3
 _DAMPING_CAP = 1e12
 
-# The most restarts the solver keeps live at once.
+# find_mu_vectors solves, pulls back and rechecks a round this many restarts
+# at a time.
 _WIDTH = 4096
 
 # find_mu_vectors solves restarts in rounds that end at _ROUND * 2**k
@@ -44,8 +45,8 @@ class SearchConfig:
     """Restart cap and seeding of the search.
 
     Restart k draws its start phases from its own counter blocks of one
-    Philox stream keyed by master_seed, so results do not depend on the batch
-    width or on where a round of restarts begins.
+    Philox stream keyed by master_seed, so results do not depend on how the
+    restarts are batched or on where a round of restarts begins.
     """
 
     restarts: int = 20000
@@ -234,26 +235,23 @@ def _cayley(u: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_phases(
-    phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float, width: int = _WIDTH
-) -> np.ndarray:
+def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float) -> np.ndarray:
     """Batched Levenberg-Marquardt on the free phases phi_1..phi_{d-1} of
     u = e^{i phi} / sqrt(d) (phi_0 = 0), driving |(H^dagger u)_j|^2 to 1/d.
 
     phases holds the (d - 1, n) start phases and the returned u is (d, n), one
     column per restart. The d residuals sum to zero, so the system is square.
 
-    At most width restarts are live at once, as one batch: a tuple of
-    per-restart arrays, one column each, holding u, the overlaps w, the
-    deviations r and the residual f of the restart's current point, then its
-    index, its damping and its step count. An iteration evaluates only its
-    trial and copies it into (u, w, r, f) where it is better. A trial turns
-    the phases of u by the LM step through _cayley, so u is built from the
-    start phases once. A restart retires once its residual is <= stop, its
-    damping passes _DAMPING_CAP or it has taken max_iters steps, and its
-    column is refilled with the next pending restart, or dropped once none is
-    pending. Every update is elementwise over the restarts, so trajectories
-    are identical whatever the width.
+    The live restarts form one batch: a tuple of per-restart arrays, one
+    column each, holding u, the overlaps w, the deviations r and the residual
+    f of the restart's current point, then its index, its damping and its
+    step count. An iteration evaluates only its trial and copies it into
+    (u, w, r, f) where it is better. A trial turns the phases of u by the LM
+    step through _cayley, so u is built from the start phases once. A restart
+    retires once its residual is <= stop, its damping passes _DAMPING_CAP or
+    it has taken max_iters steps, and its column is written out and dropped.
+    Every update is elementwise over the restarts, so trajectories are
+    identical whatever the batch.
     """
     d = len(h_conj)
     n = phases.shape[1]
@@ -264,34 +262,20 @@ def _solve_phases(
         f, r = _residual(w, target)
         return u, w, r, f
 
-    def start(lo: int, hi: int) -> tuple[np.ndarray, ...]:
-        u = np.empty((d, hi - lo), dtype=complex)
-        u[0] = 1.0 / math.sqrt(d)
-        np.exp(1j * phases[:, lo:hi], out=u[1:])
-        u[1:] /= math.sqrt(d)
-        return evaluate(u) + (np.arange(lo, hi), np.full(hi - lo, _DAMPING), np.zeros(hi - lo, dtype=int))
-
-    admitted = min(width, n)
-    batch = start(0, admitted)
+    u = np.empty((d, n), dtype=complex)
+    u[0] = 1.0 / math.sqrt(d)
+    np.exp(1j * phases, out=u[1:])
+    u[1:] /= math.sqrt(d)
+    batch = evaluate(u) + (np.arange(n), np.full(n, _DAMPING), np.zeros(n, dtype=int))
     out = np.empty((d, n), dtype=complex)
     while batch[4].size:
         u, w, r, f, rows, damping, steps = batch
         live = (f > stop) & (damping < _DAMPING_CAP) & (steps < max_iters)
         if not live.all():
-            dead = np.flatnonzero(~live)
-            out[:, rows[dead]] = u[:, dead]
-            # Refill the first k retired columns with the next pending restarts.
-            k = min(dead.size, n - admitted)
-            if k:
-                for old, new in zip(batch, start(admitted, admitted + k)):
-                    old[..., dead[:k]] = new
-                admitted += k
-                live[dead[:k]] = True
-            if k < dead.size:
-                batch = tuple(x[..., live] for x in batch)
-            # A refilled restart may already be done: check again before stepping.
-            if k or not batch[4].size:
-                continue
+            out[:, rows[~live]] = u[:, ~live]
+            batch = tuple(x[..., live] for x in batch)
+            if not live.any():
+                break
             u, w, r, f, rows, damping, steps = batch
         step = _damped_step(h_conj, u, w, r, damping)
         # A restart whose factorisation failed keeps its point: a failed step.
@@ -332,6 +316,13 @@ def _reach(radius: float) -> float:
     return math.sqrt(radius * radius + 1e-12)
 
 
+def _representatives(owner: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """For each cluster in owner, in cluster order, the index of its member
+    with the best residual, the first on ties."""
+    by_cluster = np.lexsort((res, owner))
+    return by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
+
+
 def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
     """Leader clustering of unit vectors up to global phase, in column order.
 
@@ -359,9 +350,7 @@ def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarr
         centers.append(c)
         # The next center is the first unclaimed column after c (none: stop).
         c += 1 + np.argmax(np.append(owner[c + 1 :] < 0, True))
-    by_cluster = np.lexsort((res, owner))
-    reps = by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
-    return np.array(centers, dtype=int), reps, np.bincount(owner)
+    return np.array(centers, dtype=int), _representatives(owner, res), np.bincount(owner)
 
 
 def _cluster_more(
@@ -413,9 +402,7 @@ def _cluster_more(
     reps = np.hstack([reps, vecs[:, free[new_reps]]])
     best = np.concatenate([best, res[free[new_reps]]])
     hits = np.concatenate([hits + np.bincount(owner[claimed], minlength=m), new_hits])
-    # Each old cluster's first claimed column among its best residuals.
-    by_cluster = claimed[np.lexsort((res[claimed], owner[claimed]))]
-    firsts = by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
+    firsts = claimed[_representatives(owner[claimed], res[claimed])]
     moved = firsts[res[firsts] < best[owner[firsts]]]
     reps[:, owner[moved]] = vecs[:, moved]
     best[owner[moved]] = res[moved]
@@ -447,30 +434,25 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     target = 1.0 / d
 
     # numpy raises ValueError, not MemoryError, for an array whose size in
-    # bytes its index type cannot hold; a cap whose (d, cap) complex solver
-    # output it could not address is refused before any round.
+    # bytes its index type cannot hold; a cap whose round's accepted vectors,
+    # up to (d, cap) complex, it could not address is refused before any round.
     if d * cfg.restarts * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
         raise MemoryError(f"{cfg.restarts} restarts need more memory than numpy can address")
     empty = np.empty((d, 0), dtype=complex)
     clusters = (empty, empty, np.empty(0), np.empty(0, dtype=int))
     lo, hi = 0, min(_ROUND, cfg.restarts)
     while True:
-        phases = _start_phases(cfg.master_seed, lo, hi, d)
-        found = _solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL, _chunk)
-        # Pull back, residual and recheck a chunk at a time, moving the
-        # accepted rows to the front of the solver's output.
-        res = np.empty(hi - lo)
-        kept = 0
-        for c in range(0, hi - lo, _chunk):
-            v = _overlaps(found[:, c : c + _chunk], a.T)
+        # Solve, pull back, residual and recheck the round a chunk at a time.
+        vecs, res = [], []
+        for c in range(lo, hi, _chunk):
+            phases = _start_phases(cfg.master_seed, c, min(c + _chunk, hi), d)
+            v = _overlaps(_solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL), a.T)
             f, _ = _residual(_overlaps(v, basis_conj), target)
             keep = f <= RESIDUAL_TOL
             keep[keep] = _recheck(v.T[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
-            k = np.count_nonzero(keep)
-            found[:, kept : kept + k] = v[:, keep]
-            res[kept : kept + k] = f[keep]
-            kept += k
-        clusters = _cluster_more(clusters, found[:, :kept], res[:kept])
+            vecs.append(v[:, keep])
+            res.append(f[keep])
+        clusters = _cluster_more(clusters, np.hstack(vecs), np.concatenate(res))
         centers, reps, best, hits = clusters
         saturated = bool(hits.size) and int(hits.min()) >= _SATURATED
         if saturated or hi == cfg.restarts:

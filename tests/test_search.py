@@ -205,6 +205,31 @@ def test_continuum_point_runs_to_the_cap(monkeypatch):
     assert final[3].tolist() == hits.tolist() and sum(got.hits) == vecs.shape[1]
 
 
+def test_chunks_reach_cluster_more_in_restart_order(monkeypatch):
+    # A P0 search capped at 3,000 runs two rounds, with the stop out of reach
+    # (P0 saturates after one). Solved 37 restarts at a time, each round's
+    # accepted columns and residuals reach _cluster_more with the bits and in
+    # the order of the default chunk, which solves each round at once.
+    calls, more = {}, search._cluster_more
+
+    def spied(clusters, vecs, res):
+        calls[chunk].append((vecs.copy(), res.copy()))
+        return more(clusters, vecs, res)
+
+    monkeypatch.setattr(search, "_cluster_more", spied)
+    monkeypatch.setattr(search, "_SATURATED", 10**9)
+    cfg = SearchConfig(restarts=3000, master_seed=0)
+    for chunk in (search._WIDTH, 37):
+        calls[chunk] = []
+        got = find_mu_vectors(make_family_pair("P0"), cfg, _chunk=chunk)
+        assert got.restarts_run == 3000
+    assert len(calls[37]) == len(calls[search._WIDTH]) == 2
+    for (vecs, res), (vecs37, res37) in zip(calls[search._WIDTH], calls[37]):
+        assert vecs.shape[1] > 0
+        assert np.array_equal(vecs, vecs37)
+        assert np.array_equal(res, res37)
+
+
 def test_cluster_more_matches_one_cluster_call():
     # Leader clustering continued round by round, over pieces of columns,
     # equals one _cluster call on all of them: the same centers, hits,
@@ -467,8 +492,8 @@ def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
 
 
 def test_solve_phases_evaluates_no_empty_batch(monkeypatch):
-    # Whether retired columns are refilled (width 7) or only dropped (a width
-    # that holds every restart), no step or evaluation runs on zero columns.
+    # Retired columns are dropped, and no step or evaluation runs on zero
+    # columns, not even once the last restart retires.
     h_conj = _h_conj(pair_zx_d3())
     phases = _start_phases(0, 0, 40, 3)
     widths = []
@@ -484,10 +509,8 @@ def test_solve_phases_evaluates_no_empty_batch(monkeypatch):
 
     monkeypatch.setattr(search, "_overlaps", counted_overlaps)
     monkeypatch.setattr(search, "_damped_step", counted_step)
-    for width in (7, 40, search._WIDTH):
-        widths.clear()
-        _solve_phases(phases, h_conj, 200, 1e-20, width)
-        assert widths and min(widths) > 0
+    _solve_phases(phases, h_conj, 200, 1e-20)
+    assert widths[0] == 40 and min(widths) > 0
 
 
 def test_one_restart_batches_match_full_batches():
@@ -520,19 +543,6 @@ def _fourier8_pair():
     return MUPair(Basis(np.eye(8, dtype=complex)), Basis(fourier8))
 
 
-def test_solve_phases_width_does_not_change_bits():
-    # Narrow batches retire and refill columns at other iterations and in
-    # other places than one batch that holds every restart.
-    runs = [(pair, 60, 2000) for pair in pairs_d3()]
-    runs += [(make_family_pair("P0"), 30, 2000), (_fourier8_pair(), 12, 40)]
-    for pair, n, max_iters in runs:
-        h_conj = _h_conj(pair)
-        phases = _start_phases(4, 0, n, pair.dim)
-        full = _solve_phases(phases, h_conj, max_iters, 1e-20, width=n)
-        for width in (1, 7):
-            assert np.array_equal(_solve_phases(phases, h_conj, max_iters, 1e-20, width), full)
-
-
 @pytest.mark.parametrize("dim", [3, 6, 8, 9])
 def test_start_phases_of_fewer_restarts_are_a_prefix(dim):
     # Restart k reads the k-th run of counter blocks whatever the budget, so
@@ -548,7 +558,7 @@ def test_start_phases_of_fewer_restarts_are_a_prefix(dim):
         assert np.array_equal(_start_phases(5, lo, hi, dim), full[:, lo:hi])
 
 
-def test_refilled_restart_takes_max_iters_steps(monkeypatch):
+def test_restarts_retire_after_max_iters_steps(monkeypatch):
     h_conj = _h_conj(pair_zx_d3())
     phases = _start_phases(0, 0, 3, 3)
     starts = _solve_phases(phases, h_conj, 0, 1e-20)
@@ -559,14 +569,11 @@ def test_refilled_restart_takes_max_iters_steps(monkeypatch):
         return np.full_like(b, np.nan)
 
     monkeypatch.setattr(search, "_spd_solve", always_fails)
-    # Five failed steps leave the damping far below the cap, so every
-    # restart retires on its own step count, including those admitted late.
-    assert np.array_equal(_solve_phases(phases, h_conj, 5, 1e-20, width=1), starts)
-    assert calls == [1] * 15
-    calls.clear()
-    # Two columns retire together; restart 2 refills one, the other is dropped.
-    _solve_phases(phases, h_conj, 5, 1e-20, width=2)
-    assert calls == [2] * 5 + [1] * 5
+    # Five failed steps leave the damping far below the cap, so the three
+    # restarts of one batch retire together on their step count, each at
+    # its start point.
+    assert np.array_equal(_solve_phases(phases, h_conj, 5, 1e-20), starts)
+    assert calls == [3] * 5
 
 
 def test_cayley_update_keeps_u_flat():
