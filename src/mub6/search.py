@@ -13,10 +13,9 @@ from .bases import Basis, MUPair
 from .errors import DimensionError, FormatError, ParameterRangeError
 from .linalg import ORTHO_TOL, _is_unit, _numbers, as_vector
 
-# Levenberg-Marquardt damping: its starting value, and the value past which a
-# restart whose steps keep failing is given up as stalled.
+# Levenberg-Marquardt damping: its starting value, scaled by 0.1 after a step
+# that lowers the residual and by 10 after one that does not.
 _DAMPING = 1e-3
-_DAMPING_CAP = 1e12
 
 # find_mu_vectors solves, pulls back and rechecks a round this many restarts
 # at a time.
@@ -31,11 +30,12 @@ _SATURATED = 16
 # The most (new column, old center) pairs _cluster_more measures at once.
 _PAIRS = 1 << 14
 
-# MAX_ITERS caps the Levenberg-Marquardt steps each restart takes;
-# RESIDUAL_TOL is both where a restart stops and what it must reach to be
-# accepted; CLUSTER_TOL is a cluster's radius up to phase. find_mu_vectors
-# reads them when it runs.
-MAX_ITERS = 2000
+# MAX_ITERS caps each restart's Levenberg-Marquardt steps (about 3% of S6
+# restarts need more and are rejected), which retires any stall too: damping
+# reaches 1e12 only after 15 failed steps in a row; RESIDUAL_TOL is both where
+# a restart stops and what it must reach to be accepted; CLUSTER_TOL is a
+# cluster's radius up to phase. find_mu_vectors reads them when it runs.
+MAX_ITERS = 15
 RESIDUAL_TOL = 1e-20
 CLUSTER_TOL = 1e-6
 
@@ -244,14 +244,14 @@ def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: 
 
     The live restarts form one batch: a tuple of per-restart arrays, one
     column each, holding u, the overlaps w, the deviations r and the residual
-    f of the restart's current point, then its index, its damping and its
-    step count. An iteration evaluates only its trial and copies it into
+    f of the restart's current point, then its index and its damping. Each of
+    the max_iters iterations evaluates only its trial and copies it into
     (u, w, r, f) where it is better. A trial turns the phases of u by the LM
     step through _cayley, so u is built from the start phases once. A restart
-    retires once its residual is <= stop, its damping passes _DAMPING_CAP or
-    it has taken max_iters steps, and its column is written out and dropped.
-    Every update is elementwise over the restarts, so trajectories are
-    identical whatever the batch.
+    retires once its residual is <= stop, and its column is written out and
+    dropped; the columns still live after the last iteration are written out
+    once after it. Every update is elementwise over the restarts, so
+    trajectories are identical whatever the batch.
     """
     d = len(h_conj)
     n = phases.shape[1]
@@ -266,17 +266,16 @@ def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: 
     u[0] = 1.0 / math.sqrt(d)
     np.exp(1j * phases, out=u[1:])
     u[1:] /= math.sqrt(d)
-    batch = evaluate(u) + (np.arange(n), np.full(n, _DAMPING), np.zeros(n, dtype=int))
+    batch = evaluate(u) + (np.arange(n), np.full(n, _DAMPING))
     out = np.empty((d, n), dtype=complex)
-    while batch[4].size:
-        u, w, r, f, rows, damping, steps = batch
-        live = (f > stop) & (damping < _DAMPING_CAP) & (steps < max_iters)
+    for _ in range(max_iters):
+        live = batch[3] > stop
         if not live.all():
-            out[:, rows[~live]] = u[:, ~live]
+            out[:, batch[4][~live]] = batch[0][:, ~live]
             batch = tuple(x[..., live] for x in batch)
             if not live.any():
                 break
-            u, w, r, f, rows, damping, steps = batch
+        u, w, r, f, rows, damping = batch
         step = _damped_step(h_conj, u, w, r, damping)
         # A restart whose factorisation failed keeps its point: a failed step.
         step[:, ~np.isfinite(step).all(axis=0)] = 0.0
@@ -285,7 +284,7 @@ def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: 
         for old, new in zip(batch, trial):
             np.copyto(old, new, where=better)
         damping *= np.where(better, 0.1, 10.0)
-        steps += 1
+    out[:, batch[4]] = batch[0]
     return out
 
 

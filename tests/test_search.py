@@ -28,6 +28,7 @@ from mub6.search import (
     _cluster_more,
     _damped_step,
     _gauge_fix,
+    _overlaps,
     _recheck,
     _residual,
     _solve_phases,
@@ -182,6 +183,8 @@ def test_continuum_point_runs_to_the_cap(monkeypatch):
     # finds new clusters of one hit. Its three rounds, clustered after
     # hundreds of old centers each, end as one _cluster call on every
     # accepted column would: compared as floats, not as bytes of a file.
+    # At a step cap of 2,000 every restart here converges, and the slow
+    # ones, which a cap of 15 rejects, give the hundreds of old centers.
     rounds, out, more = [], [], search._cluster_more
 
     def spied(clusters, vecs, res):
@@ -190,6 +193,7 @@ def test_continuum_point_runs_to_the_cap(monkeypatch):
         return out[-1]
 
     monkeypatch.setattr(search, "_cluster_more", spied)
+    monkeypatch.setattr(search, "MAX_ITERS", 2000)
     pair = MUPair(Basis(np.eye(6, dtype=complex)), Basis(make_Ftilde(2 * np.pi / 3, 2 * np.pi / 3)))
     got = find_mu_vectors(pair, SearchConfig(restarts=6144, master_seed=0))
     assert (got.restarts_run, got.saturated) == (6144, False)
@@ -481,14 +485,12 @@ def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
     assert np.array_equal(u[:, 1:], plain[:, 1:])
 
     # Alone, it fails once per iteration, its damping growing tenfold each
-    # time, until the damping passes the cap.
+    # time (to 1e197, with no warning), until the step cap retires it.
     calls.clear()
-    _solve_phases(phases[:, :1], h_conj, 200, 1e-20)
-    fails, damping = 0, search._DAMPING
-    while damping < search._DAMPING_CAP:
-        damping *= 10.0
-        fails += 1
-    assert calls == [1] * fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _solve_phases(phases[:, :1], h_conj, 200, 1e-20)
+    assert calls == [1] * 200
 
 
 def test_solve_phases_evaluates_no_empty_batch(monkeypatch):
@@ -538,6 +540,19 @@ def test_one_restart_batches_match_full_batches():
     assert all(np.array_equal(u, v) for u, v in zip(a.vectors, b.vectors))
 
 
+def test_solve_phases_writes_capped_columns_as_one_batch_would():
+    # Columns still live after the last iteration are written out after the
+    # loop: on S6 start phases at the step cap, one batch and one column at a
+    # time give the same bits, and some column retired unconverged on the cap.
+    pair, _ = reduce_P2()
+    h_conj = _h_conj(pair)
+    phases = _start_phases(3, 0, 60, 6)
+    batch = _solve_phases(phases, h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
+    alone = [_solve_phases(phases[:, k : k + 1], h_conj, search.MAX_ITERS, search.RESIDUAL_TOL) for k in range(60)]
+    assert np.array_equal(batch, np.hstack(alone))
+    assert (_residual(_overlaps(batch, h_conj), 1 / 6)[0] > search.RESIDUAL_TOL).sum() == 2
+
+
 def _fourier8_pair():
     fourier8 = np.exp(2j * np.pi * np.outer(range(8), range(8)) / 8) / np.sqrt(8)
     return MUPair(Basis(np.eye(8, dtype=complex)), Basis(fourier8))
@@ -569,9 +584,8 @@ def test_restarts_retire_after_max_iters_steps(monkeypatch):
         return np.full_like(b, np.nan)
 
     monkeypatch.setattr(search, "_spd_solve", always_fails)
-    # Five failed steps leave the damping far below the cap, so the three
-    # restarts of one batch retire together on their step count, each at
-    # its start point.
+    # The three restarts of one batch fail all five steps, so none retires
+    # in the loop: each is written out after it, at its start point.
     assert np.array_equal(_solve_phases(phases, h_conj, 5, 1e-20), starts)
     assert calls == [3] * 5
 
@@ -582,9 +596,13 @@ def test_cayley_update_keeps_u_flat():
     u = _solve_phases(_start_phases(0, 0, 2000, 6), h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
     assert np.abs(np.abs(u) - 1 / math.sqrt(6)).max() <= 1e-15
     assert np.array_equal(_cayley(u, np.zeros((5, 2000))), u)
+    # Every restart that converged within the step cap is accepted, and the
+    # recheck rejects none of them.
+    v = _overlaps(u, pair.first.matrix.T)
+    converged = int((_residual(_overlaps(v, pair.basis_vectors().conj()), 1 / 6)[0] <= search.RESIDUAL_TOL).sum())
     vecset = find_mu_vectors(pair, SearchConfig(restarts=2000, master_seed=0))
     assert len(vecset) == 90
-    assert sum(vecset.hits) == 2000
+    assert sum(vecset.hits) == converged == 1940
 
 
 def test_gauge_fix_matches_per_row_formula():
