@@ -15,9 +15,13 @@ def test_summarize_ranges_numbers_and_counts_text_per_family():
         {"family": "P1", "digest": {"fingerprint": "ab", "moves": 3}},
         {"family": "P1", "digest": {"fingerprint": "cd", "moves": 3}},
         {"family": "P1", "digest": None},
+        # A search that fails lists fewer than two clusters: no min overlap.
+        {"family": "P2", "digest": {"clusters": 1, "min_abs_overlap": None, "max_clique_size": 1}},
+        {"family": "P3", "digest": {"clusters": 0, "min_abs_overlap": None, "max_clique_size": 0}},
     ]
     assert bench_record.summarize(digests) == {
         "P0": {"clusters": [48, 48], "max_clique_size": [6, 6], "min_abs_overlap": [1e-17, 1e-17]},
         "P1": {"fingerprint": 2, "moves": [3, 3]},
-        "P2": {"clusters": [90, 90], "max_clique_size": [1, 1], "min_abs_overlap": [0.1544, 0.1545]},
+        "P2": {"clusters": [1, 90], "max_clique_size": [1, 1], "min_abs_overlap": [0.1544, 0.1545]},
+        "P3": {"clusters": [0, 0], "max_clique_size": [0, 0], "min_abs_overlap": None},
     }

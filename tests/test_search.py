@@ -18,7 +18,9 @@ from mub6 import (
     make_Ftilde,
     make_family_pair,
     orthogonality_graph,
+    reduce_P1,
     reduce_P2,
+    reduce_P3,
     same_basis_up_to_phase,
 )
 from mub6 import search
@@ -207,6 +209,28 @@ def test_continuum_point_runs_to_the_cap(monkeypatch):
     assert np.array_equal(final[1], vecs[:, reps])
     assert np.array_equal(final[2], res[reps])
     assert final[3].tolist() == hits.tolist() and sum(got.hits) == vecs.shape[1]
+
+
+@pytest.mark.parametrize("family, offset", [("P1", 1e-1), ("P1", 1e-3), ("P1", 1e-5), ("P1", 1e-7), ("P3", 1e-7)])
+def test_step_cap_keeps_every_vector_near_the_continuum_point(monkeypatch, family, offset):
+    # Approaching {I, F~(2 pi/3, 2 pi/3)}, where the 48 isolated vectors of
+    # the family merge into a continuum, restarts converge more slowly and a
+    # cap of 15 steps rejects more of them. Down to an offset of 1e-7 the
+    # search still saturates on the same 48 vectors as at a cap of 2,000;
+    # at 1e-7 it takes one round more to give every vector 16 hits.
+    c = 2 * np.pi / 3
+    if family == "P1":
+        pair = reduce_P1(c + offset, c + offset)[0]
+    else:
+        pair = reduce_P3((0.5 - c - offset) % (2 * np.pi), (1.0 - c + offset) % (2 * np.pi), 0.5, 1.0)[0]
+    cfg = SearchConfig(restarts=20000, master_seed=0)
+    short = find_mu_vectors(pair, cfg)
+    monkeypatch.setattr(search, "MAX_ITERS", 2000)
+    long = find_mu_vectors(pair, cfg)
+    assert (len(short), short.saturated, len(long), long.saturated) == (48, True, 48, True)
+    assert (short.restarts_run, long.restarts_run) == ((4096 if offset == 1e-7 else 2048), 2048)
+    overlaps = np.abs(np.array(short.vectors).conj() @ np.array(long.vectors).T)
+    assert np.sqrt(np.maximum(2.0 - 2.0 * overlaps.max(axis=1), 0.0)).max() < search.CLUSTER_TOL
 
 
 def test_chunks_reach_cluster_more_in_restart_order(monkeypatch):

@@ -1,16 +1,17 @@
 """Record the benchmark of this checkout as BENCH_<n>.json at the repository root.
 
-    python3 tools/bench_record.py N [--seed 7] [--seconds 10]
+    python3 tools/bench_record.py N
 
 Runs `perfbench/run.py --trace 0` once for each workload that BENCHMARK.json
-lists, then reads the record each run leaves in `.perfbench_work/results/`
-and writes BENCH_<N>.json (N numbers the record in the trajectory). The file
-holds, per workload, the end-to-end metrics with the points attempted and
-failed and the wall time quartiles, and the digest of the results: for each
-family, the range of every numeric digest field over the points (clusters,
-min overlap, clique size, ...) and the number of distinct values of every
-text field (fingerprints). It also holds the source line count and the
-machine facts that run.py records. Timings move with the host; compare only
+lists, at seed SEED and for the benchmark's `run_seconds` each, so that every
+record is made the same way, then reads the record each run leaves in
+`.perfbench_work/results/` and writes BENCH_<N>.json (N numbers the record in
+the trajectory). The file holds, per workload, the end-to-end metrics with the
+points attempted and failed and the wall time quartiles, and the digest of the
+results: for each family, the range of every numeric digest field over the
+points (clusters, min overlap, clique size, ...) and the number of distinct
+values of every text field (fingerprints). It also holds the source line count
+and the machine facts that run.py records. Timings move with the host; compare only
 records made alternately on one host.
 """
 
@@ -24,46 +25,55 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / ".perfbench_work" / "results"
+SEED = 7
+
+
+def _span(values: list):
+    """[min, max] of numbers, the count of distinct strings, None if empty."""
+    if not values:
+        return None
+    if isinstance(values[0], str):
+        return len(set(values))
+    return [min(values), max(values)]
 
 
 def summarize(digests: list[dict]) -> dict:
     """Per family, [min, max] of each numeric digest field over the points and
-    the count of distinct values of each text field."""
+    the count of distinct values of each text field. A field that is None at a
+    point (no overlap among fewer than two clusters) is left out there, and is
+    None for the family if it is None at every point."""
     fields: dict[str, dict[str, list]] = {}
     for entry in digests:
         for key, value in (entry["digest"] or {}).items():
-            fields.setdefault(entry["family"], {}).setdefault(key, []).append(value)
+            values = fields.setdefault(entry["family"], {}).setdefault(key, [])
+            if value is not None:
+                values.append(value)
     return {
-        family: {
-            key: len(set(values)) if isinstance(values[0], str) else [min(values), max(values)]
-            for key, values in sorted(by_key.items())
-        }
+        family: {key: _span(values) for key, values in sorted(by_key.items())}
         for family, by_key in sorted(fields.items())
     }
 
 
-def run_workload(name: str, seed: int, seconds: float) -> dict:
+def run_workload(name: str, seconds: float) -> dict:
     """Run one workload through run.py and return the record it leaves."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{name}: perfbench/run.py exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
-    return json.loads((RESULTS / f"{name}-seed{seed}-trace0.json").read_text(encoding="utf-8"))
+    return json.loads((RESULTS / f"{name}-seed{SEED}-trace0.json").read_text(encoding="utf-8"))
 
 
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("n", type=int, help="number of the record: writes BENCH_<n>.json")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=10.0, help="run time of each workload")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    records = {w["name"]: run_workload(w["name"], args.seed, args.seconds) for w in spec["workloads"]}
+    records = {w["name"]: run_workload(w["name"], spec["run_seconds"]) for w in spec["workloads"]}
     machine = dict(next(iter(records.values()))["machine"])
     out = {
-        "seed": args.seed,
-        "seconds": args.seconds,
+        "seed": SEED,
+        "seconds": spec["run_seconds"],
         "src_lines": machine.pop("src_lines"),
         "machine": machine,
         "workloads": {
