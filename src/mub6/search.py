@@ -21,8 +21,9 @@ _DAMPING = 1e-3
 # at a time.
 _WIDTH = 4096
 
-# find_mu_vectors solves restarts in rounds that end at _ROUND * 2**k
-# restarts, capped at cfg.restarts, and stops after the first round that
+# find_mu_vectors solves restarts in rounds, the first ending at _ROUND
+# restarts and each later one at 1.5 times the previous end (2,048, 3,072,
+# 4,608, ...), capped at cfg.restarts, and stops after the first round that
 # leaves every cluster with at least _SATURATED hits.
 _ROUND = 2048
 _SATURATED = 16
@@ -283,7 +284,11 @@ def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: 
         better = trial[3] < f
         for old, new in zip(batch, trial):
             np.copyto(old, new, where=better)
-        damping *= np.where(better, 0.1, 10.0)
+        # Past the double range (after ~311 failed steps) the damping is inf,
+        # whose factorisation fails: the restart keeps its point, as it all
+        # but would at any damping that large.
+        with np.errstate(over="ignore"):
+            damping *= np.where(better, 0.1, 10.0)
     out[:, batch[4]] = batch[0]
     return out
 
@@ -414,7 +419,7 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
     I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs independent
     seeded solves for the d - 1 free phases in rounds that end at _ROUND,
-    2 _ROUND, 4 _ROUND, ... restarts, capped at cfg.restarts. Each round pulls
+    1.5 _ROUND, 2.25 _ROUND, ... restarts, capped at cfg.restarts. Each round pulls
     its solutions back as v = A u, keeps those with residual <= RESIDUAL_TOL
     that also pass an independently accumulated re-check, and clusters them
     up to global phase after those of earlier rounds, in restart order. The
@@ -456,7 +461,7 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
         saturated = bool(hits.size) and int(hits.min()) >= _SATURATED
         if saturated or hi == cfg.restarts:
             break
-        lo, hi = hi, min(2 * hi, cfg.restarts)
+        lo, hi = hi, min(hi + hi // 2, cfg.restarts)
 
     # A continuum of solutions shows up as centers packed close to the
     # clustering scale; flag it rather than trying to parameterize it.

@@ -140,14 +140,23 @@ def test_find_mu_vectors_deterministic_and_chunk_independent():
                 assert np.array_equal(u, v)
 
 
+def _round_ends(cap):
+    # 2,048, then 1.5 times the previous end: 3,072, 4,608, 6,912, ...
+    ends = [search._ROUND]
+    while ends[-1] < cap:
+        ends.append(ends[-1] + ends[-1] // 2)
+    return ends
+
+
 def test_search_stops_once_saturated():
     # S6 and P0 saturate long before a cap of 20k, and a search that stops
-    # after N restarts equals one capped at N, at any chunk size.
+    # after N restarts equals one capped at N, at any chunk size. At seed 3
+    # S6 stops after three rounds, at 4,608, and P0 after one.
     for pair in (reduce_P2()[0], make_family_pair("P0")):
         got = find_mu_vectors(pair, SearchConfig(restarts=20000, master_seed=3))
         n = got.restarts_run
         assert got.saturated and n < 20000 and min(got.hits) >= search._SATURATED
-        assert n % search._ROUND == 0
+        assert n in _round_ends(20000)
         for chunk in (search._WIDTH, 37):
             capped = find_mu_vectors(pair, SearchConfig(restarts=n, master_seed=3), _chunk=chunk)
             assert _same_result(capped, got)
@@ -182,7 +191,7 @@ def test_cap_below_one_round_solves_once(monkeypatch, cap):
 
 def test_continuum_point_runs_to_the_cap(monkeypatch):
     # {I, F~(2 pi/3, 2 pi/3)} has a continuum of MU vectors: every round
-    # finds new clusters of one hit. Its three rounds, clustered after
+    # finds new clusters of one hit. Its four rounds, clustered after
     # hundreds of old centers each, end as one _cluster call on every
     # accepted column would: compared as floats, not as bytes of a file.
     # At a step cap of 2,000 every restart here converges, and the slow
@@ -201,7 +210,7 @@ def test_continuum_point_runs_to_the_cap(monkeypatch):
     assert (got.restarts_run, got.saturated) == (6144, False)
     assert min(got.hits) < search._SATURATED
     old, vecs, res = zip(*rounds)
-    assert len(old) == 3 and old[0] == 0 and min(old[1:]) >= 200
+    assert len(old) == 4 and old[0] == 0 and min(old[1:]) >= 200
     vecs, res = np.hstack(vecs), np.concatenate(res)
     centers, reps, hits = _cluster(vecs, res, search.CLUSTER_TOL)
     final = out[-1]
@@ -228,7 +237,7 @@ def test_step_cap_keeps_every_vector_near_the_continuum_point(monkeypatch, famil
     monkeypatch.setattr(search, "MAX_ITERS", 2000)
     long = find_mu_vectors(pair, cfg)
     assert (len(short), short.saturated, len(long), long.saturated) == (48, True, 48, True)
-    assert (short.restarts_run, long.restarts_run) == ((4096 if offset == 1e-7 else 2048), 2048)
+    assert (short.restarts_run, long.restarts_run) == ((3072 if offset == 1e-7 else 2048), 2048)
     overlaps = np.abs(np.array(short.vectors).conj() @ np.array(long.vectors).T)
     assert np.sqrt(np.maximum(2.0 - 2.0 * overlaps.max(axis=1), 0.0)).max() < search.CLUSTER_TOL
 
@@ -597,10 +606,15 @@ def test_start_phases_of_fewer_restarts_are_a_prefix(dim):
         assert np.array_equal(_start_phases(5, lo, hi, dim), full[:, lo:hi])
 
 
+def _start_points(phases):
+    # u_0 = 1/sqrt(d) and u_k = e^{i phi_k}/sqrt(d), built apart from the solver.
+    d = len(phases) + 1
+    return np.vstack([np.full((1, phases.shape[1]), 1 / math.sqrt(d)), np.exp(1j * phases) / math.sqrt(d)])
+
+
 def test_restarts_retire_after_max_iters_steps(monkeypatch):
     h_conj = _h_conj(pair_zx_d3())
     phases = _start_phases(0, 0, 3, 3)
-    starts = _solve_phases(phases, h_conj, 0, 1e-20)
     calls = []
 
     def always_fails(a, b):
@@ -610,8 +624,32 @@ def test_restarts_retire_after_max_iters_steps(monkeypatch):
     monkeypatch.setattr(search, "_spd_solve", always_fails)
     # The three restarts of one batch fail all five steps, so none retires
     # in the loop: each is written out after it, at its start point.
-    assert np.array_equal(_solve_phases(phases, h_conj, 5, 1e-20), starts)
+    assert np.array_equal(_solve_phases(phases, h_conj, 5, 1e-20), _start_points(phases))
     assert calls == [3] * 5
+
+
+def test_damping_past_the_double_range_raises_no_warning(monkeypatch):
+    # A restart that fails every step grows its damping tenfold each time,
+    # past the double range after about 311 steps: it then keeps its start
+    # point, with no overflow warning.
+    h_conj = _h_conj(pair_zx_d3())
+    phases = _start_phases(0, 0, 1, 3)
+    monkeypatch.setattr(search, "_spd_solve", lambda a, b: np.full_like(b, np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = _solve_phases(phases, h_conj, 400, 1e-20)
+    assert np.array_equal(u, _start_points(phases))
+
+
+def test_infinite_damping_gives_a_failed_step_with_no_warning():
+    h_conj = _h_conj(pair_zx_d3())
+    u = _start_points(_start_phases(0, 0, 4, 3))
+    w = _overlaps(u, h_conj)
+    _, r = _residual(w, 1 / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step = _damped_step(h_conj, u, w, r, np.array([1e-3, np.inf, 1e300, np.inf]))
+    assert np.isfinite(step[:, [0, 2]]).all() and np.isnan(step[:, [1, 3]]).all()
 
 
 def test_cayley_update_keeps_u_flat():
