@@ -9,17 +9,45 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import os
 import stat
 import sys
 
-from . import serialize
-from .equivalence import dephase, haagerup_fingerprint, reduce_P1, reduce_P2, reduce_P3
 from .errors import FormatError, Mub6Error
-from .families import _PARAM_NAMES, FAMILY_IDS, FamilyParams, make_family_pair, validate_family_params
-from .bases import is_mu_pair
-from .linalg import EQ_TOL, parse_matrix
-from .search import SearchConfig, find_extension_basis, orthogonality_graph
+
+# Home module -> the library names the commands use. None is imported with
+# this module. When a command's parser is first built, the modules that command
+# uses are imported and their names bound here as plain globals: the handlers
+# call them by name, and a swap of the module attribute (as
+# perfbench/tracing.py does) reaches their calls.
+_LIBRARY = {
+    "bases": ("is_mu_pair",),
+    "equivalence": ("dephase", "haagerup_fingerprint", "reduce_P1", "reduce_P2", "reduce_P3"),
+    "families": ("_PARAM_NAMES", "FAMILY_IDS", "FamilyParams", "make_family_pair", "validate_family_params"),
+    "linalg": ("EQ_TOL", "parse_matrix"),
+    "search": ("SearchConfig", "find_extension_basis", "orthogonality_graph"),
+    "serialize": ("serialize",),
+}
+_HOME = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a library name on its first use and bind it in this module."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{_HOME[name]}")
+    value = module if name == _HOME[name] else getattr(module, name)  # `serialize` is a module
+    globals()[name] = value
+    return value
+
+
+def _bind(modules) -> None:
+    """Bind the names of `modules` that this module does not hold yet."""
+    for module in modules:
+        for name in _LIBRARY[module]:
+            if name not in globals():
+                __getattr__(name)
 
 
 def _read(path: str) -> str:
@@ -166,25 +194,34 @@ def _ortho_graph_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None)
 
 
-# name -> (help, argument adder, handler), in the order `mub6 --help` lists them.
+# name -> (help, argument adder, handler, library modules the parser and the
+# handler use), in the order `mub6 --help` lists them.
 _COMMANDS = {
-    "construct": ("build a family pair as JSON", _construct_args, _cmd_construct),
-    "verify": ("check the MU condition of a pair file", _verify_args, _cmd_verify),
-    "reduce": ("reduce a family pair to standard form", _reduce_args, _cmd_reduce),
-    "fingerprint": ("Haagerup fingerprint of a Hadamard", _fingerprint_args, _cmd_fingerprint),
-    "search-extend": ("search vectors/bases MU to a pair", _search_extend_args, _cmd_search_extend),
-    "ortho-graph": ("orthogonality graph of a vector set", _ortho_graph_args, _cmd_ortho_graph),
+    "construct": ("build a family pair as JSON", _construct_args, _cmd_construct,
+                  ("families", "serialize")),
+    "verify": ("check the MU condition of a pair file", _verify_args, _cmd_verify,
+               ("bases", "serialize")),
+    "reduce": ("reduce a family pair to standard form", _reduce_args, _cmd_reduce,
+               ("equivalence", "families", "serialize")),
+    "fingerprint": ("Haagerup fingerprint of a Hadamard", _fingerprint_args, _cmd_fingerprint,
+                    ("equivalence", "linalg", "serialize")),
+    "search-extend": ("search vectors/bases MU to a pair", _search_extend_args, _cmd_search_extend,
+                      ("search", "serialize")),
+    "ortho-graph": ("orthogonality graph of a vector set", _ortho_graph_args, _cmd_ortho_graph,
+                    ("search", "serialize")),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """The mub6 parser with all six subcommands."""
+    """The mub6 parser with all six subcommands. Its result may go to any
+    handler, so it binds every library name first."""
+    _bind(_LIBRARY)
     parser = argparse.ArgumentParser(
         prog="mub6",
         description="Mutually unbiased product-basis pairs in dimension six.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+    for name, (help_text, add_arguments, _, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -194,7 +231,10 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one known command, the one argparse builds as that
     subparser; built on the command's first call in a process, then reused.
     Parsing leaves it unchanged, and help and usage text get a new formatter,
-    so they still wrap to the terminal width at the time they print."""
+    so they still wrap to the terminal width at the time they print. The
+    command's library modules are imported and bound first, for the parser
+    and the handler."""
+    _bind(_COMMANDS[name][3])
     parser = argparse.ArgumentParser(prog=f"mub6 {name}")
     _COMMANDS[name][1](parser)
     return parser

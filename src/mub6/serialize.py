@@ -13,15 +13,18 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bases import Basis, MUPair
-from .equivalence import Move
 from .errors import FormatError, InvalidMoveError, ParameterRangeError
 from .families import _PARAM_NAMES, FAMILY_IDS, FamilyParams, validate_family_params
 from .linalg import _numbers, _quote, format_matrix, parse_matrix
-from .search import ExtensionResult, OrthoGraph
+
+if TYPE_CHECKING:  # annotations only, so reading a pair loads neither module
+    from .equivalence import Move
+    from .search import ExtensionResult, OrthoGraph
 
 
 def pair_to_dict(pair: MUPair) -> dict:
@@ -98,6 +101,8 @@ def script_from_dict(data: dict) -> tuple[Move, ...]:
 
 
 def _move_from_dict(data: dict) -> Move:
+    from .equivalence import Move
+
     fields = dict(data)
     kind, member, text = (fields.pop(key, None) for key in ("kind", "member", "matrix"))
     perm, phases = fields.pop("perm", None), fields.pop("phases", None)

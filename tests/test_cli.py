@@ -1,5 +1,7 @@
 import argparse
+import ast
 import errno
+import importlib
 import json
 import os
 import random
@@ -234,6 +236,97 @@ def test_cli_import_leaves_hashlib_unloaded():
     if _loads_hashlib("import numpy"):
         pytest.skip("numpy alone loads hashlib here")
     assert not _loads_hashlib("import mub6.cli")
+
+
+def _loaded_mub6(statement):
+    """The mub6 modules a fresh interpreter has loaded after `statement`."""
+    out = _fresh_python(f"import sys\n{statement}\n"
+                        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mub6'))")
+    return set(out.split())
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """A P0 pair, the S6 pair and a small P0 search result, as files."""
+    path = tmp_path_factory.mktemp("inputs")
+    files = {name: str(path / f"{name}.json") for name in ("p0", "s6", "v")}
+    assert run(["construct", "--family", "P0", "--out", files["p0"]]) == 0
+    assert run(["reduce", "--family", "P2", "--out", files["s6"]]) == 0
+    assert run(["search-extend", "--pair", files["p0"], "--restarts", "64", "--out", files["v"]]) == 0
+    return files
+
+
+def test_cli_import_loads_no_library_module():
+    assert _loaded_mub6("import mub6.cli") == {"mub6", "mub6.cli", "mub6.errors"}
+
+
+# command and arguments -> the library modules one call of it must not load.
+_UNLOADED = {
+    ("construct", "--family", "P0"): {"mub6.search", "mub6.equivalence"},
+    ("verify", "--pair", "{p0}"): {"mub6.search", "mub6.equivalence"},
+    ("reduce", "--family", "P2", "--emit-script", os.devnull): {"mub6.search"},
+    ("fingerprint", "--pair", "{s6}"): {"mub6.search"},
+    ("search-extend", "--pair", "{s6}", "--restarts", "64"): {"mub6.equivalence"},
+    ("ortho-graph", "--vectors", "{v}"): {"mub6.equivalence"},
+}
+
+
+@pytest.mark.parametrize("argv, unloaded", _UNLOADED.items(), ids=[argv[0] for argv in _UNLOADED])
+def test_a_command_loads_only_the_modules_it_uses(command_inputs, argv, unloaded):
+    argv = [a.format(**command_inputs) for a in argv]
+    loaded = _loaded_mub6(
+        "import contextlib, io, mub6.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert mub6.cli.run({argv!r}) == 0\n"
+    )
+    assert "mub6.serialize" in loaded and not loaded & unloaded, loaded
+
+
+def _traced_cli_names():
+    """Home module of each name the benchmark's tracer swaps on mub6.cli, as
+    its _WRAPPED table of (module, layer, name, extractor) rows lists them."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    table = next(node.value for node in tree.body
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "_WRAPPED")
+    return {row.elts[2].value: row.elts[1].value for row in table.elts if row.elts[0].id == "cli"}
+
+
+# Each library name the benchmark's tracer swaps on mub6.cli -> a command that calls it.
+_CALLED_BY = {
+    "make_family_pair": ["construct", "--family", "P0"],
+    "is_mu_pair": ["verify", "--pair", "{p0}"],
+    "reduce_P1": ["reduce", "--family", "P1", "--xi", "0.7", "--eta", "1.3"],
+    "reduce_P2": ["reduce", "--family", "P2"],
+    "reduce_P3": ["reduce", "--family", "P3", "--zeta", "0.4", "--chi", "1.1", "--sigma", "0.9", "--tau", "2.0"],
+    "haagerup_fingerprint": ["fingerprint", "--pair", "{s6}"],
+    "dephase": ["fingerprint", "--pair", "{s6}"],
+    "find_extension_basis": ["search-extend", "--pair", "{s6}", "--restarts", "64"],
+    "orthogonality_graph": ["ortho-graph", "--vectors", "{v}"],
+}
+
+
+def test_the_traced_names_are_the_called_names():
+    assert set(_traced_cli_names()) == set(_CALLED_BY)
+
+
+@pytest.mark.parametrize("name", _CALLED_BY)
+def test_a_swapped_cli_name_reaches_the_handler(monkeypatch, capsys, command_inputs, name):
+    # Unbound, as in a fresh process, the name resolves to the library object.
+    monkeypatch.delitem(vars(mub6.cli), name, raising=False)
+    original = getattr(mub6.cli, name)
+    assert original is getattr(importlib.import_module(f"mub6.{_traced_cli_names()[name]}"), name)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mub6.cli, name, spy)
+    _command_parser.cache_clear()  # the first parser of a process binds names; it must keep the spy
+    assert run_cli(capsys, *(a.format(**command_inputs) for a in _CALLED_BY[name]))[0] == 0
+    assert len(calls) == 1
 
 
 def test_search_extend_reports_memory_error(tmp_path, capsys):
