@@ -140,6 +140,17 @@ def test_find_mu_vectors_deterministic_and_chunk_independent():
                 assert np.array_equal(u, v)
 
 
+def test_find_mu_vectors_bit_identical_at_any_chunk():
+    # The single-precision steps too are elementwise over the restarts, so a
+    # chunk of one restart, odd chunks that split the rounds unevenly and
+    # the default chunk give the same bits.
+    pair, _ = reduce_P2()
+    cfg = SearchConfig(restarts=400, master_seed=5)
+    runs = [find_mu_vectors(pair, cfg, _chunk=chunk) for chunk in (1, 7, 333, 4096)]
+    assert len(runs[0]) > 80
+    assert all(_same_result(runs[0], other) for other in runs[1:])
+
+
 def _round_ends(cap):
     # 2,048, then 1.5 times the previous end: 3,072, 4,608, 6,912, ...
     ends = [search._ROUND]
@@ -512,13 +523,14 @@ def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = _solve_phases(phases, h_conj, 200, 1e-20)
-    # Restart 0 never moves from its start; the others are untouched by it.
-    assert u[0, 0] == 1 / math.sqrt(3)
-    assert np.array_equal(u[1:, 0], np.exp(1j * phases[:, 0]) / math.sqrt(3))
+    # Restart 0 never moves from its start, which it keeps up to the single
+    # precision of the first steps; the others are untouched by it.
+    _assert_kept_start(u[:, :1], phases[:, :1])
     assert np.array_equal(u[:, 1:], plain[:, 1:])
 
     # Alone, it fails once per iteration, its damping growing tenfold each
-    # time (to 1e197, with no warning), until the step cap retires it.
+    # time (to 1e197, with no warning, float32 for the first steps), until
+    # the step cap retires it.
     calls.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -612,20 +624,36 @@ def _start_points(phases):
     return np.vstack([np.full((1, phases.shape[1]), 1 / math.sqrt(d)), np.exp(1j * phases) / math.sqrt(d)])
 
 
+def _assert_kept_start(u, phases):
+    # A restart that never moved comes out at its start point, rounded to
+    # complex64 by the single-precision steps and rebuilt in double: u_0 is
+    # exactly 1/sqrt(d) and every |u_k| is 1/sqrt(d) to double rounding.
+    d = len(u)
+    assert np.all(u[0] == 1 / math.sqrt(d))
+    assert np.abs(np.abs(u) - 1 / math.sqrt(d)).max() <= 4e-16
+    assert 0 < np.abs(u - _start_points(phases)).max() <= 1e-7
+
+
 def test_restarts_retire_after_max_iters_steps(monkeypatch):
     h_conj = _h_conj(pair_zx_d3())
     phases = _start_phases(0, 0, 3, 3)
     calls = []
 
     def always_fails(a, b):
-        calls.append(b.shape[1])
+        calls.append((b.shape[1], b.dtype))
         return np.full_like(b, np.nan)
 
     monkeypatch.setattr(search, "_spd_solve", always_fails)
-    # The three restarts of one batch fail all five steps, so none retires
-    # in the loop: each is written out after it, at its start point.
-    assert np.array_equal(_solve_phases(phases, h_conj, 5, 1e-20), _start_points(phases))
-    assert calls == [3] * 5
+    # The three restarts of one batch fail every step, so none retires in the
+    # loop: each is written out after it, at its start point, in double
+    # whether the cap falls below, at or after the single-precision steps.
+    for max_iters in (2, search._SINGLE, 5):
+        calls.clear()
+        u = _solve_phases(phases, h_conj, max_iters, 1e-20)
+        assert u.dtype == complex
+        _assert_kept_start(u, phases)
+        single = min(max_iters, search._SINGLE)
+        assert calls == [(3, np.float32)] * single + [(3, np.float64)] * (max_iters - single)
 
 
 def test_damping_past_the_double_range_raises_no_warning(monkeypatch):
@@ -638,7 +666,43 @@ def test_damping_past_the_double_range_raises_no_warning(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = _solve_phases(phases, h_conj, 400, 1e-20)
-    assert np.array_equal(u, _start_points(phases))
+    _assert_kept_start(u, phases)
+
+
+def test_no_restart_retires_in_single_precision(monkeypatch):
+    # Restarts that start on the 90 exact S6 answers reach a float32 residual
+    # of 0, below the stop, during the single-precision steps, yet their
+    # points there are only accurate to about 1e-7. None retires or is
+    # written out before the switch to double: all 90 take every
+    # single-precision step and come out converged in double, each on the
+    # answer it started on.
+    pair = MUPair(Basis(np.eye(6, dtype=complex)), reduce_P2()[0].second)
+    h_conj = _h_conj(pair)
+    # Against I the answers are the u themselves, gauge-fixed with u_0 > 0.
+    answers = np.array(find_mu_vectors(pair, SearchConfig(restarts=2048, master_seed=0)).vectors).T
+    assert len(answers.T) == 90 and np.all(answers[0].imag == 0)
+    phases = np.angle(answers[1:])
+    widths, single_zero = [], set()
+    residual, damped_step = search._residual, search._damped_step
+
+    def spied_residual(w, target):
+        f, r = residual(w, target)
+        if f.dtype == np.float32:
+            single_zero.update(np.flatnonzero(f <= search.RESIDUAL_TOL).tolist())
+        return f, r
+
+    def spied_step(h_conj, u, *args):
+        widths.append((u.shape[1], u.dtype))
+        return damped_step(h_conj, u, *args)
+
+    monkeypatch.setattr(search, "_residual", spied_residual)
+    monkeypatch.setattr(search, "_damped_step", spied_step)
+    u = _solve_phases(phases, h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
+    assert single_zero
+    assert widths[: search._SINGLE] == [(90, np.complex64)] * search._SINGLE
+    assert widths[search._SINGLE][1] == complex
+    assert (_residual(_overlaps(u, h_conj), 1 / 6)[0] <= search.RESIDUAL_TOL).all()
+    assert np.abs(np.abs(np.einsum("ij,ij->j", u.conj(), _start_points(phases))) - 1).max() < 1e-12
 
 
 def test_infinite_damping_gives_a_failed_step_with_no_warning():
