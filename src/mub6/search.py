@@ -28,8 +28,10 @@ _WIDTH = 4096
 _ROUND = 2048
 _SATURATED = 16
 
-# The most (new column, old center) pairs _cluster_more measures at once.
+# The most (center, column) pairs _near_pairs measures at once, and how many
+# tentative centers, the first unclaimed columns, each pass of _cluster takes.
 _PAIRS = 1 << 14
+_LEADS = 32
 
 # MAX_ITERS caps each restart's Levenberg-Marquardt steps (about 3% of S6
 # restarts need more and are rejected), which retires any stall too: damping
@@ -338,13 +340,6 @@ def _key(vecs: np.ndarray) -> np.ndarray:
     return np.abs(_overlaps(vecs, (weights / np.linalg.norm(weights))[:, None])[0])
 
 
-def _reach(radius: float) -> float:
-    """How far apart the keys of two columns within radius may lie: radius,
-    with room for overlap rounding (~1e-15), which moves distances by
-    ~1e-15 / radius."""
-    return math.sqrt(radius * radius + 1e-12)
-
-
 def _representatives(owner: np.ndarray, res: np.ndarray) -> np.ndarray:
     """For each cluster in owner, in cluster order, the index of its member
     with the best residual, the first on ties."""
@@ -352,34 +347,82 @@ def _representatives(owner: np.ndarray, res: np.ndarray) -> np.ndarray:
     return by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
 
 
+def _near_pairs(
+    centers: np.ndarray, center_key: np.ndarray, vecs: np.ndarray, key: np.ndarray, order: np.ndarray, radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of a center, column i of centers, and a column j of
+    vecs, listed by i, that lie within radius of each other up to phase.
+
+    Only the columns that order lists, sorted by their keys key[j], are
+    measured, and of those only the ones in the center's key window,
+    center_key[i] - reach <= key[j] < center_key[i] + reach: by
+    Cauchy-Schwarz no other column lies within radius. reach is radius with
+    room for overlap rounding (~1e-15), which moves distances by
+    ~1e-15 / radius. |<c|v>| sums conj(c_k) v_k in order of k, as _overlaps
+    does, so a pair gets the same bits wherever it is measured. At most
+    _PAIRS pairs are measured at a time.
+    """
+    sorted_key, reach = key[order], math.sqrt(radius * radius + 1e-12)
+    lo = np.searchsorted(sorted_key, center_key - reach)
+    count = np.searchsorted(sorted_key, center_key + reach) - lo
+    ends = np.cumsum(count)
+    conj = centers.conj()
+    near_i, near_j = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)]
+    for start in range(0, int(count.sum()), _PAIRS):
+        pair = np.arange(start, min(start + _PAIRS, ends[-1]))
+        i = np.searchsorted(ends, pair, side="right")
+        j = order[lo[i] + pair - ends[i] + count[i]]
+        overlap = conj[0, i] * vecs[0, j]
+        for k in range(1, len(vecs)):
+            overlap += conj[k, i] * vecs[k, j]
+        near = 2.0 - 2.0 * np.abs(overlap) < radius * radius
+        near_i.append(i[near])
+        near_j.append(j[near])
+    return np.concatenate(near_i), np.concatenate(near_j)
+
+
 def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
     """Leader clustering of unit vectors up to global phase, in column order.
 
     vecs is (d, n), one vector per column. The first unclaimed column c becomes
     a center and claims every unclaimed v whose phase-optimal distance
-    min_theta |c - e^{i theta} v| = sqrt(2 - 2 |<c|v>|) is below radius. Only
-    columns whose key |<x|v>|, for one fixed unit x, lies within radius of c's
-    (plus room for rounding) are measured: by Cauchy-Schwarz the keys differ
-    by at most that distance. Returns the center columns, the representative
-    columns (best residual, the first on ties) and each cluster's hits.
+    min_theta |c - e^{i theta} v| = sqrt(2 - 2 |<c|v>|) is below radius, as
+    _near_pairs screens and measures it. Returns the center columns, the
+    representative columns (best residual, the first on ties) and each
+    cluster's hits.
+
+    The centers are settled _LEADS at a time. The first _LEADS unclaimed
+    columns are tentative centers, and _near_pairs measures each against
+    every unclaimed column at once. In column order, a tentative column is a
+    center unless an earlier center of the pass claims it; every other
+    column within radius of one of the pass's centers joins the first such
+    center. That is what the one-center-at-a-time loop does: an unclaimed
+    column before the last tentative one is itself tentative, so no center
+    between the pass's ones can claim first.
     """
+    n = vecs.shape[1]
     key = _key(vecs)
-    order = np.argsort(key)
-    sorted_key = key[order]
-    reach = _reach(radius)
-    owner = np.full(vecs.shape[1], -1)
-    centers: list[int] = []
-    c = 0
-    while c < len(owner):
-        lo, hi = np.searchsorted(sorted_key, (key[c] - reach, key[c] + reach))
-        cand = order[lo:hi]
-        cand = cand[owner[cand] < 0]
-        overlap = np.abs(_overlaps(vecs[:, cand], vecs[:, c, None].conj())[0])
-        owner[cand[2.0 - 2.0 * overlap < radius * radius]] = owner[c] = len(centers)
-        centers.append(c)
-        # The next center is the first unclaimed column after c (none: stop).
-        c += 1 + np.argmax(np.append(owner[c + 1 :] < 0, True))
-    return np.array(centers, dtype=int), _representatives(owner, res), np.bincount(owner)
+    order = np.argsort(key)  # the unclaimed columns, sorted by key
+    free = np.arange(n)  # the unclaimed columns, in column order
+    owner = np.full(n, n)
+    centers = [np.empty(0, dtype=int)]
+    while len(free):
+        lead = free[:_LEADS]
+        i, j = _near_pairs(vecs[:, lead], key[lead], vecs, key, order, radius)
+        # The pairs come by center, so is_center[a] is settled before a's.
+        is_center = [True] * len(lead)
+        inside = j <= lead[-1]
+        for a, b in zip(i[inside].tolist(), np.searchsorted(lead, j[inside]).tolist()):
+            if is_center[a] and b > a:
+                is_center[b] = False
+        is_center = np.array(is_center)
+        rank = sum(map(len, centers)) + np.cumsum(is_center) - 1
+        claim = is_center[i]
+        np.minimum.at(owner, j[claim], rank[i[claim]])
+        owner[lead[is_center]] = rank[is_center]
+        centers.append(lead[is_center])
+        order, free = order[owner[order] == n], free[owner[free] == n]
+    return np.concatenate(centers), _representatives(owner, res), np.bincount(owner)
 
 
 def _cluster_more(
@@ -393,37 +436,17 @@ def _cluster_more(
     This is exactly _cluster on all the columns seen so far. There the old
     centers come first and lie pairwise outside each other's radius, so each
     stays a center and claims, in turn, the unclaimed new columns in its key
-    window and radius. Here every (new column, old center) pair that the key
-    screens in is measured at once, with the same arithmetic as _cluster, and
-    a column joins the lowest-index old center within radius. The unclaimed
-    columns lie outside every old radius, so _cluster on them alone gives the
-    new clusters. At most _PAIRS pairs are measured at a time. A
-    representative moves only to a strictly lower new residual, the first
-    such column on ties.
+    window and radius. Here _near_pairs measures every (old center, new
+    column) pair at once, and a column joins the lowest-index old center
+    within radius. The unclaimed columns lie outside every old radius, so
+    _cluster on them alone gives the new clusters. A representative moves
+    only to a strictly lower new residual, the first such column on ties.
     """
     centers, reps, best, hits = clusters
-    m, n = len(hits), vecs.shape[1]
-    owner = np.full(n, m)
-    if m and n:
-        center_key, key = _key(centers), _key(vecs)
-        order = np.argsort(center_key)
-        sorted_key = center_key[order]
-        # Center c screens in the keys k with key_c - reach <= k < key_c + reach.
-        reach = _reach(CLUSTER_TOL)
-        begin = np.searchsorted(sorted_key + reach, key, side="right")
-        count = np.searchsorted(sorted_key - reach, key, side="right") - begin
-        ends = np.cumsum(count)
-        centers_conj = centers.conj()
-        for lo in range(0, int(ends[-1]), _PAIRS):
-            pair = np.arange(lo, min(lo + _PAIRS, ends[-1]))
-            col = np.searchsorted(ends, pair, side="right")
-            center = order[begin[col] + pair - ends[col] + count[col]]
-            # Summed as _overlaps sums it in _cluster, so each pair gets its bits.
-            overlap = centers_conj[0, center] * vecs[0, col]
-            for i in range(1, len(vecs)):
-                overlap += centers_conj[i, center] * vecs[i, col]
-            near = 2.0 - 2.0 * np.abs(overlap) < CLUSTER_TOL * CLUSTER_TOL
-            np.minimum.at(owner, col[near], center[near])
+    m, key = len(hits), _key(vecs)
+    i, j = _near_pairs(centers, _key(centers), vecs, key, np.argsort(key), CLUSTER_TOL)
+    owner = np.full(vecs.shape[1], m)
+    np.minimum.at(owner, j, i)
     free = np.flatnonzero(owner == m)
     new_centers, new_reps, new_hits = _cluster(vecs[:, free], res[free], CLUSTER_TOL)
     claimed = np.flatnonzero(owner < m)

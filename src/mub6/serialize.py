@@ -11,8 +11,10 @@ past a double.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Sequence
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -131,7 +133,7 @@ def extension_result_to_dict(result: ExtensionResult) -> dict:
     return {
         "pair": pair_to_dict(vecset.pair),
         "clusters": [
-            {"vector": [[float(z.real), float(z.imag)] for z in v], "residual": float(r), "hits": int(h)}
+            {"vector": np.asarray(v).view(float).reshape(-1, 2).tolist(), "residual": float(r), "hits": int(h)}
             for v, r, h in zip(vecset.vectors, vecset.residuals, vecset.hits)
         ],
         "restarts_run": int(vecset.restarts_run),
@@ -159,7 +161,72 @@ def vectors_from_dict(data: dict) -> tuple[np.ndarray, ...]:
 
 
 def dump_json(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True) + "\\n", byte for byte, with
+    the TypeError json raises on what it cannot write.
+
+    A list of equal-length lists of exact ints and finite floats, such as the
+    [re, im] parts of a vector or the edges of a graph, goes out in one
+    %-format of their reprs, which are json's. data must not contain itself
+    (json raises ValueError there).
+    """
+    out: list[str] = []
+    _write(data, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _write(o, newline: str, out: list[str]) -> None:
+    """Append the text of o to out, with newline (and its indent) between
+    lines, checking types in json's order."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None or isinstance(o, (int, float)):
+        out.append(_scalar_text(o))
+    elif not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    elif not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+    elif isinstance(o, dict) or (table := _table(o, newline)) is None:
+        inner, is_dict = newline + "  ", isinstance(o, dict)
+        sep = ("{" if is_dict else "[") + inner
+        for key, value in sorted(o.items()) if is_dict else enumerate(o):
+            out.append(sep + _key_text(key) if is_dict else sep)
+            sep = "," + inner
+            _write(value, inner, out)
+        out.append(newline + ("}" if is_dict else "]"))
+    else:
+        out.append(table)
+
+
+def _scalar_text(x: None | int | float) -> str:
+    """None, a bool, an int or a float as json writes it."""
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x == math.inf else "-Infinity" if x == -math.inf else float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json writes it, with the separator after it."""
+    if not (key is None or isinstance(key, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return encode_basestring_ascii(key if isinstance(key, str) else _scalar_text(key)) + ": "
+
+
+def _table(rows: list | tuple, newline: str) -> str | None:
+    """The text of rows if it is a list of equal-length, non-empty lists of
+    exact ints and finite floats; None otherwise."""
+    if not set(map(type, rows)) <= {list, tuple} or len(widths := set(map(len, rows))) != 1 or 0 in widths:
+        return None
+    cells = list(chain.from_iterable(rows))
+    if not set(map(type, cells)) <= {int, float}:
+        return None
+    text = tuple(map(repr, cells))
+    if not {"nan", "inf", "-inf"}.isdisjoint(text):
+        return None
+    inner, cell = newline + "  ", newline + "    "
+    row = "[" + cell + ("," + cell).join(["%s"] * len(rows[0])) + inner + "]"
+    return ("[" + inner + ("," + inner).join([row] * len(rows)) + newline + "]") % text
 
 
 def load_json(text: str) -> dict:

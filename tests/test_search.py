@@ -429,6 +429,35 @@ def test_cluster_matches_greedy_loop():
         assert len(centers) < vecs.shape[1] or tol < 1e-3
 
 
+@pytest.mark.parametrize("leads", [1, 2, 3, search._LEADS])
+def test_cluster_matches_leader_loop_at_any_pass_size(monkeypatch, leads):
+    # _cluster settles `leads` tentative centers per pass; any pass size
+    # gives the one-center-at-a-time loop.
+    monkeypatch.setattr(search, "_LEADS", leads)
+    rng = np.random.default_rng(23)
+    # Within radius 1 means less than 60 degrees apart modulo 180. In a pass
+    # of columns 0-2 (0, 40 and 80 degrees), column 0 claims column 1, and
+    # column 2, within radius of column 1 only, is a center. Column 3 (110)
+    # then joins column 2, column 4 (20) column 0 and column 5 (100) column 2.
+    vecs = _real_unit_columns([0, 40, 80, 110, 20, 100], [0, 1, 2, 3, 4, 5])
+    assert _leader_reference(vecs, np.zeros(6), 1.0) == ([0, 2], [0, 2], [3, 3])
+    cases = [(vecs, 1.0)]
+    # A random walk whose steps are shorter than the radius: chains of near
+    # columns that run across the edges of the passes, in column order and
+    # shuffled.
+    steps = rng.normal(size=(3, 400)) + 1j * rng.normal(size=(3, 400))
+    walk = np.cumsum(0.12 * steps / np.linalg.norm(steps, axis=0), axis=1) + np.array([[1.0], [0.0], [0.0]])
+    cases += [(walk, 0.3), (walk[:, rng.permutation(400)], 0.3)]
+    # Dense random columns, many within radius of several centers of a pass.
+    cases += [(rng.random((3, 300)) + 1j * rng.random((3, 300)), tol) for tol in (0.3, 0.6)]
+    for vecs, tol in cases:
+        vecs = vecs / np.linalg.norm(vecs, axis=0) * np.exp(2j * np.pi * rng.random(vecs.shape[1]))
+        res = rng.integers(0, 4, vecs.shape[1]) * 1e-21
+        centers, reps, hits = _cluster(vecs, res, tol)
+        assert (centers.tolist(), reps.tolist(), hits.tolist()) == _leader_reference(vecs, res, tol)
+        assert 1 < len(centers) <= vecs.shape[1] / 3
+
+
 def test_cluster_ignores_gauge_pivot():
     # Two columns 3e-7 apart up to phase, with all four moduli tied near 1/2
     # and the two largest rounding to six decimals in opposite order, so
