@@ -333,20 +333,6 @@ def _gauge_fix(v: np.ndarray) -> np.ndarray:
     return v * (pivot / np.hypot(pivot.real, pivot.imag)).conj()[:, None]
 
 
-def _key(vecs: np.ndarray) -> np.ndarray:
-    """The clustering's screening key |<x|v>| of each column v, for the unit x
-    with weights 1, 2, ..., d."""
-    weights = np.arange(1.0, len(vecs) + 1)
-    return np.abs(_overlaps(vecs, (weights / np.linalg.norm(weights))[:, None])[0])
-
-
-def _representatives(owner: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """For each cluster in owner, in cluster order, the index of its member
-    with the best residual, the first on ties."""
-    by_cluster = np.lexsort((res, owner))
-    return by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
-
-
 def _near_pairs(
     centers: np.ndarray, center_key: np.ndarray, vecs: np.ndarray, key: np.ndarray, order: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -372,24 +358,35 @@ def _near_pairs(
         pair = np.arange(start, min(start + _PAIRS, ends[-1]))
         i = np.searchsorted(ends, pair, side="right")
         j = order[lo[i] + pair - ends[i] + count[i]]
-        overlap = conj[0, i] * vecs[0, j]
-        for k in range(1, len(vecs)):
-            overlap += conj[k, i] * vecs[k, j]
-        near = 2.0 - 2.0 * np.abs(overlap) < radius * radius
+        near = 2.0 - 2.0 * np.abs(_sum_rows(conj[:, i] * vecs[:, j])) < radius * radius
         near_i.append(i[near])
         near_j.append(j[near])
     return np.concatenate(near_i), np.concatenate(near_j)
 
 
-def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarray, ...]:
-    """Leader clustering of unit vectors up to global phase, in column order.
+def _cluster(
+    clusters: tuple[np.ndarray, ...], vecs: np.ndarray, res: np.ndarray, radius: float
+) -> tuple[np.ndarray, ...]:
+    """Leader clustering of unit vectors up to global phase, in column order,
+    continued from the clusters of earlier columns.
 
-    vecs is (d, n), one vector per column. The first unclaimed column c becomes
-    a center and claims every unclaimed v whose phase-optimal distance
-    min_theta |c - e^{i theta} v| = sqrt(2 - 2 |<c|v>|) is below radius, as
-    _near_pairs screens and measures it. Returns the center columns, the
-    representative columns (best residual, the first on ties) and each
-    cluster's hits.
+    clusters holds, per earlier cluster, its center and representative (as
+    (d, m) columns), the representative's residual and the cluster's hits;
+    vecs is (d, n), one further vector per column, with residuals res. The
+    same four come back for all the columns: the fresh clustering of vecs is
+    the call with m = 0.
+
+    The first unclaimed column c becomes a center and claims every unclaimed
+    v whose phase-optimal distance min_theta |c - e^{i theta} v| =
+    sqrt(2 - 2 |<c|v>|) is below radius, as _near_pairs screens and measures
+    it, by the key |<x|v>| for the unit x with weights 1, 2, ..., d. The
+    representative is the member with the best residual, the first on ties.
+
+    The old centers lead the new columns. They lie pairwise outside each
+    other's radius, so they stay clusters 0..m-1, in order, and claim first:
+    that is the clustering of all the columns seen so far. Each old center
+    carries its representative's residual, so a representative moves only to
+    a strictly lower new one.
 
     The centers are settled _LEADS at a time. The first _LEADS unclaimed
     columns are tentative centers, and _near_pairs measures each against
@@ -400,15 +397,18 @@ def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarr
     column before the last tentative one is itself tentative, so no center
     between the pass's ones can claim first.
     """
-    n = vecs.shape[1]
-    key = _key(vecs)
+    old_centers, old_reps, best, old_hits = clusters
+    cols, res = np.hstack([old_centers, vecs]), np.concatenate([best, res])
+    n = cols.shape[1]
+    weights = np.arange(1.0, len(cols) + 1)
+    key = np.abs(_overlaps(cols, (weights / np.linalg.norm(weights))[:, None])[0])
     order = np.argsort(key)  # the unclaimed columns, sorted by key
     free = np.arange(n)  # the unclaimed columns, in column order
     owner = np.full(n, n)
     centers = [np.empty(0, dtype=int)]
     while len(free):
         lead = free[:_LEADS]
-        i, j = _near_pairs(vecs[:, lead], key[lead], vecs, key, order, radius)
+        i, j = _near_pairs(cols[:, lead], key[lead], cols, key, order, radius)
         # The pairs come by center, so is_center[a] is settled before a's.
         is_center = [True] * len(lead)
         inside = j <= lead[-1]
@@ -422,43 +422,11 @@ def _cluster(vecs: np.ndarray, res: np.ndarray, radius: float) -> tuple[np.ndarr
         owner[lead[is_center]] = rank[is_center]
         centers.append(lead[is_center])
         order, free = order[owner[order] == n], free[owner[free] == n]
-    return np.concatenate(centers), _representatives(owner, res), np.bincount(owner)
-
-
-def _cluster_more(
-    clusters: tuple[np.ndarray, ...], vecs: np.ndarray, res: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Leader clustering continued over further columns vecs (with residuals
-    res): clusters holds, per cluster found in earlier columns, its center and
-    representative (as (d, m) columns), the representative's residual and
-    the cluster's hits, and the same comes back for the extended columns.
-
-    This is exactly _cluster on all the columns seen so far. There the old
-    centers come first and lie pairwise outside each other's radius, so each
-    stays a center and claims, in turn, the unclaimed new columns in its key
-    window and radius. Here _near_pairs measures every (old center, new
-    column) pair at once, and a column joins the lowest-index old center
-    within radius. The unclaimed columns lie outside every old radius, so
-    _cluster on them alone gives the new clusters. A representative moves
-    only to a strictly lower new residual, the first such column on ties.
-    """
-    centers, reps, best, hits = clusters
-    m, key = len(hits), _key(vecs)
-    i, j = _near_pairs(centers, _key(centers), vecs, key, np.argsort(key), CLUSTER_TOL)
-    owner = np.full(vecs.shape[1], m)
-    np.minimum.at(owner, j, i)
-    free = np.flatnonzero(owner == m)
-    new_centers, new_reps, new_hits = _cluster(vecs[:, free], res[free], CLUSTER_TOL)
-    claimed = np.flatnonzero(owner < m)
-    centers = np.hstack([centers, vecs[:, free[new_centers]]])
-    reps = np.hstack([reps, vecs[:, free[new_reps]]])
-    best = np.concatenate([best, res[free[new_reps]]])
-    hits = np.concatenate([hits + np.bincount(owner[claimed], minlength=m), new_hits])
-    firsts = claimed[_representatives(owner[claimed], res[claimed])]
-    moved = firsts[res[firsts] < best[owner[firsts]]]
-    reps[:, owner[moved]] = vecs[:, moved]
-    best[owner[moved]] = res[moved]
-    return centers, reps, best, hits
+    by_cluster = np.lexsort((res, owner))
+    reps = by_cluster[np.flatnonzero(np.diff(owner[by_cluster], prepend=-1))]
+    hits = np.bincount(owner)
+    hits[: len(old_hits)] += old_hits - 1
+    return cols[:, np.concatenate(centers)], np.hstack([old_reps, vecs])[:, reps], res[reps], hits
 
 
 def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MUVectorSet:
@@ -504,7 +472,7 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
             keep[keep] = _recheck(v.T[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
             vecs.append(v[:, keep])
             res.append(f[keep])
-        clusters = _cluster_more(clusters, np.hstack(vecs), np.concatenate(res))
+        clusters = _cluster(clusters, np.hstack(vecs), np.concatenate(res), CLUSTER_TOL)
         centers, reps, best, hits = clusters
         saturated = bool(hits.size) and int(hits.min()) >= _SATURATED
         if saturated or hi == cfg.restarts:

@@ -25,3 +25,31 @@ def test_summarize_ranges_numbers_and_counts_text_per_family():
         "P2": {"clusters": [1, 90], "max_clique_size": [1, 1], "min_abs_overlap": [0.1544, 0.1545]},
         "P3": {"clusters": [0, 0], "max_clique_size": [0, 0], "min_abs_overlap": None},
     }
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks():
+    source = '''"""Module docstring,
+over two lines."""
+
+import math  # a comment on a code line
+
+
+# A comment line.
+class Point:
+    """Class docstring."""
+
+    x: float = 1.0
+
+    def norm(self):
+        """Function docstring,
+
+        with a blank line inside."""
+        text = """a string that
+        is not a docstring"""
+        return math.hypot(
+            self.x,
+            len(text),
+        )
+'''
+    # import, class, x, def, the two lines of text and the four of return.
+    assert bench_record.code_lines(source) == 10

@@ -27,7 +27,6 @@ from mub6 import search
 from mub6.search import (
     _cayley,
     _cluster,
-    _cluster_more,
     _damped_step,
     _gauge_fix,
     _overlaps,
@@ -186,9 +185,9 @@ def test_cap_below_one_round_solves_once(monkeypatch, cap):
         solves.append(phases.shape[1])
         return solve(phases, *args)
 
-    def counted_cluster(vecs, *args):
+    def counted_cluster(old, vecs, *args):
         clusters.append(vecs.shape[1])
-        return cluster(vecs, *args)
+        return cluster(old, vecs, *args)
 
     monkeypatch.setattr(search, "_solve_phases", counted_solve)
     monkeypatch.setattr(search, "_cluster", counted_cluster)
@@ -207,14 +206,14 @@ def test_continuum_point_runs_to_the_cap(monkeypatch):
     # accepted column would: compared as floats, not as bytes of a file.
     # At a step cap of 2,000 every restart here converges, and the slow
     # ones, which a cap of 15 rejects, give the hundreds of old centers.
-    rounds, out, more = [], [], search._cluster_more
+    rounds, out, cluster = [], [], search._cluster
 
-    def spied(clusters, vecs, res):
+    def spied(clusters, vecs, res, radius):
         rounds.append((len(clusters[3]), vecs.copy(), res.copy()))
-        out.append(more(clusters, vecs, res))
+        out.append(cluster(clusters, vecs, res, radius))
         return out[-1]
 
-    monkeypatch.setattr(search, "_cluster_more", spied)
+    monkeypatch.setattr(search, "_cluster", spied)
     monkeypatch.setattr(search, "MAX_ITERS", 2000)
     pair = MUPair(Basis(np.eye(6, dtype=complex)), Basis(make_Ftilde(2 * np.pi / 3, 2 * np.pi / 3)))
     got = find_mu_vectors(pair, SearchConfig(restarts=6144, master_seed=0))
@@ -223,7 +222,7 @@ def test_continuum_point_runs_to_the_cap(monkeypatch):
     old, vecs, res = zip(*rounds)
     assert len(old) == 4 and old[0] == 0 and min(old[1:]) >= 200
     vecs, res = np.hstack(vecs), np.concatenate(res)
-    centers, reps, hits = _cluster(vecs, res, search.CLUSTER_TOL)
+    centers, reps, hits = _cluster_indices(vecs, res, search.CLUSTER_TOL)
     final = out[-1]
     assert np.array_equal(final[0], vecs[:, centers])
     assert np.array_equal(final[1], vecs[:, reps])
@@ -253,18 +252,18 @@ def test_step_cap_keeps_every_vector_near_the_continuum_point(monkeypatch, famil
     assert np.sqrt(np.maximum(2.0 - 2.0 * overlaps.max(axis=1), 0.0)).max() < search.CLUSTER_TOL
 
 
-def test_chunks_reach_cluster_more_in_restart_order(monkeypatch):
+def test_chunks_reach_cluster_in_restart_order(monkeypatch):
     # A P0 search capped at 3,000 runs two rounds, with the stop out of reach
     # (P0 saturates after one). Solved 37 restarts at a time, each round's
-    # accepted columns and residuals reach _cluster_more with the bits and in
-    # the order of the default chunk, which solves each round at once.
-    calls, more = {}, search._cluster_more
+    # accepted columns and residuals reach _cluster with the bits and in the
+    # order of the default chunk, which solves each round at once.
+    calls, cluster = {}, search._cluster
 
-    def spied(clusters, vecs, res):
+    def spied(clusters, vecs, res, radius):
         calls[chunk].append((vecs.copy(), res.copy()))
-        return more(clusters, vecs, res)
+        return cluster(clusters, vecs, res, radius)
 
-    monkeypatch.setattr(search, "_cluster_more", spied)
+    monkeypatch.setattr(search, "_cluster", spied)
     monkeypatch.setattr(search, "_SATURATED", 10**9)
     cfg = SearchConfig(restarts=3000, master_seed=0)
     for chunk in (search._WIDTH, 37):
@@ -278,9 +277,9 @@ def test_chunks_reach_cluster_more_in_restart_order(monkeypatch):
         assert np.array_equal(res, res37)
 
 
-def test_cluster_more_matches_one_cluster_call():
+def test_cluster_continued_piecewise_matches_one_call():
     # Leader clustering continued round by round, over pieces of columns,
-    # equals one _cluster call on all of them: the same centers, hits,
+    # equals one fresh _cluster call on all of them: the same centers, hits,
     # representatives and residuals, ties going to the earlier column.
     rng = np.random.default_rng(11)
     cases = []
@@ -312,14 +311,12 @@ def test_cluster_more_matches_one_cluster_call():
     vecs = (0.6 * x[:, None] + 0.8 * perp / np.linalg.norm(perp, axis=0)) * np.exp(2j * np.pi * rng.random(300))
     cases.append((vecs, rng.integers(0, 4, 300) * 1e-21, 0.6, (0, 100, 101, 300), 7))
     for vecs, res, tol, cuts, pairs in cases:
-        empty = np.empty((len(vecs), 0), dtype=complex)
-        clusters = (empty, empty, np.empty(0), np.empty(0, dtype=int))
+        clusters = _no_clusters(len(vecs))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search, "CLUSTER_TOL", tol)
             patch.setattr(search, "_PAIRS", pairs)
             for lo, hi in zip(cuts, cuts[1:]):
-                clusters = _cluster_more(clusters, vecs[:, lo:hi], res[lo:hi])
-        centers, reps, hits = _cluster(vecs, res, tol)
+                clusters = _cluster(clusters, vecs[:, lo:hi], res[lo:hi], tol)
+        centers, reps, hits = _cluster_indices(vecs, res, tol)
         assert np.array_equal(clusters[0], vecs[:, centers])
         assert np.array_equal(clusters[1], vecs[:, reps])
         assert np.array_equal(clusters[2], res[reps])
@@ -340,6 +337,23 @@ def test_soundness_recheck():
     vecset = find_mu_vectors(pair_zx_d3(), SearchConfig(restarts=200, master_seed=1))
     # The grid oracle's residual shares no code with the search's.
     assert np.all(_residual_batch(np.stack(vecset.vectors), pair_zx_d3().basis_vectors()) <= 10 * 1e-20)
+
+
+def _no_clusters(dim):
+    """The clusters of no earlier columns, which a fresh _cluster call takes."""
+    empty = np.empty((dim, 0), dtype=complex)
+    return empty, empty, np.empty(0), np.empty(0, dtype=int)
+
+
+def _cluster_indices(vecs, res, tol):
+    """A fresh _cluster call on distinct columns, its centers and
+    representatives as column indices of vecs, with its hits; the residuals
+    it returns are those of its representatives."""
+    centers, reps, best, hits = _cluster(_no_clusters(len(vecs)), vecs, res, tol)
+    index = {col.tobytes(): k for k, col in enumerate(vecs.T)}
+    centers, reps = (np.array([index[col.tobytes()] for col in cols.T], dtype=int) for cols in (centers, reps))
+    assert np.array_equal(best, res[reps])
+    return centers, reps, hits
 
 
 def _leader_reference(vecs, res, tol):
@@ -379,7 +393,7 @@ def test_cluster_joins_first_center_within_radius():
     # degrees turned by -i, and 175 degrees, which is -(-5 degrees). Column 5
     # (110 degrees) is within radius of column 1 only.
     vecs = _real_unit_columns([0, 70, 40, 10, 175, 110], [0, 0, 0, -np.pi / 2, 2.0, 0.5])
-    centers, reps, hits = _cluster(vecs, np.zeros(6), 1.0)
+    centers, reps, hits = _cluster_indices(vecs, np.zeros(6), 1.0)
     assert centers.tolist() == [0, 1]
     assert hits.tolist() == [4, 2]
     assert reps.tolist() == [0, 1]
@@ -388,13 +402,13 @@ def test_cluster_joins_first_center_within_radius():
 def test_cluster_representative_and_center():
     # Equal best residuals keep the first member in column order.
     vecs = _real_unit_columns([0, 10, 20], [0, 1, 2])
-    _, reps, hits = _cluster(vecs, np.array([3e-21, 1e-21, 1e-21]), 1.0)
+    _, reps, hits = _cluster_indices(vecs, np.array([3e-21, 1e-21, 1e-21]), 1.0)
     assert reps.tolist() == [1] and hits.tolist() == [3]
     # The representative moves to column 1, the better residual, but
     # distances are still taken from column 0: column 2 is 70 degrees from it
     # and starts a cluster although it lies within 35 degrees of column 1.
     vecs = _real_unit_columns([0, 35, 70], [0, 0, 0])
-    centers, reps, hits = _cluster(vecs, np.array([5e-21, 1e-21, 2e-21]), 1.0)
+    centers, reps, hits = _cluster_indices(vecs, np.array([5e-21, 1e-21, 2e-21]), 1.0)
     assert centers.tolist() == [0, 2]
     assert reps.tolist() == [1, 2]
     assert hits.tolist() == [2, 1]
@@ -424,7 +438,7 @@ def test_cluster_matches_greedy_loop():
     for vecs, tol in cases:
         vecs = vecs / np.linalg.norm(vecs, axis=0) * np.exp(2j * np.pi * rng.random(vecs.shape[1]))
         res = rng.integers(0, 4, vecs.shape[1]) * 1e-21
-        centers, reps, hits = _cluster(vecs, res, tol)
+        centers, reps, hits = _cluster_indices(vecs, res, tol)
         assert (centers.tolist(), reps.tolist(), hits.tolist()) == _leader_reference(vecs, res, tol)
         assert len(centers) < vecs.shape[1] or tol < 1e-3
 
@@ -450,12 +464,31 @@ def test_cluster_matches_leader_loop_at_any_pass_size(monkeypatch, leads):
     cases += [(walk, 0.3), (walk[:, rng.permutation(400)], 0.3)]
     # Dense random columns, many within radius of several centers of a pass.
     cases += [(rng.random((3, 300)) + 1j * rng.random((3, 300)), tol) for tol in (0.3, 0.6)]
+    runs = []
     for vecs, tol in cases:
         vecs = vecs / np.linalg.norm(vecs, axis=0) * np.exp(2j * np.pi * rng.random(vecs.shape[1]))
-        res = rng.integers(0, 4, vecs.shape[1]) * 1e-21
-        centers, reps, hits = _cluster(vecs, res, tol)
+        runs.append((vecs, rng.integers(0, 4, vecs.shape[1]) * 1e-21, tol))
+    for vecs, res, tol in runs:
+        centers, reps, hits = _cluster_indices(vecs, res, tol)
         assert (centers.tolist(), reps.tolist(), hits.tolist()) == _leader_reference(vecs, res, tol)
         assert 1 < len(centers) <= vecs.shape[1] / 3
+    # The dense columns at 0.3 continued after their first 37 clusters, a
+    # count that no pass size but 1 divides, so one pass holds the last old
+    # centers and the first new tentative columns. The first new column is
+    # old cluster 0's representative negated, at the same distances, with
+    # its residual: it joins cluster 0 and, tied, leaves the old
+    # representative in place.
+    vecs, res, tol = runs[3]
+    cut = _leader_reference(vecs, res, tol)[0][37]
+    old = _cluster(_no_clusters(3), vecs[:, :cut], res[:cut], tol)
+    assert len(old[3]) == 37
+    vecs = np.hstack([vecs[:, :cut], -old[1][:, :1], vecs[:, cut:]])
+    res = np.concatenate([res[:cut], old[2][:1], res[cut:]])
+    centers, reps, hits = _leader_reference(vecs, res, tol)
+    got = _cluster(old, vecs[:, cut:], res[cut:], tol)
+    assert np.array_equal(got[0], vecs[:, centers]) and np.array_equal(got[1], vecs[:, reps])
+    assert np.array_equal(got[2], res[reps]) and got[3].tolist() == hits
+    assert cut not in centers and reps[0] < cut and len(centers) > 40
 
 
 def test_cluster_ignores_gauge_pivot():
@@ -470,7 +503,7 @@ def test_cluster_ignores_gauge_pivot():
     fixed = _gauge_fix(vecs.T)
     assert np.argmax(np.round(np.abs(a), 6)) != np.argmax(np.round(np.abs(b), 6))
     assert np.linalg.norm(fixed[0] - fixed[1]) > 1.0
-    centers, reps, hits = _cluster(vecs, np.zeros(2), search.CLUSTER_TOL)
+    centers, reps, hits = _cluster_indices(vecs, np.zeros(2), search.CLUSTER_TOL)
     assert centers.tolist() == [0] and hits.tolist() == [2]
 
 

@@ -11,20 +11,25 @@ points attempted and failed and the wall time quartiles, and the digest of the
 results: for each family, the range of every numeric digest field over the
 points (clusters, min overlap, clique size, ...) and the number of distinct
 values of every text field (fingerprints). It also holds the source line count
-and the machine facts that run.py records. Timings move with the host; compare only
+that run.py records, the code lines of `src/mub6/*.py` (no docstrings, comments
+or blank lines), and the machine facts. Timings move with the host; compare only
 records made alternately on one host.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / ".perfbench_work" / "results"
+SRC = ROOT / "src" / "mub6"
 SEED = 7
 
 
@@ -35,6 +40,23 @@ def _span(values: list):
     if isinstance(values[0], str):
         return len(set(values))
     return [min(values), max(values)]
+
+
+def code_lines(source: str) -> int:
+    """The lines of Python source that hold a token other than a comment, a
+    newline or an indent, leaving out the docstrings of the module and of its
+    classes and functions (found with ast)."""
+    docs, owners = [], (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, owners) and ast.get_docstring(node, clean=False) is not None:
+            doc = node.body[0]
+            docs.append(((doc.lineno, doc.col_offset), (doc.end_lineno, doc.end_col_offset)))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout and not any(lo <= tok.start and tok.end <= hi for lo, hi in docs):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
 
 
 def summarize(digests: list[dict]) -> dict:
@@ -75,6 +97,7 @@ def main(argv: list[str]) -> int:
         "seed": SEED,
         "seconds": spec["run_seconds"],
         "src_lines": machine.pop("src_lines"),
+        "code_lines": sum(code_lines(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")),
         "machine": machine,
         "workloads": {
             name: {
