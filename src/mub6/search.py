@@ -21,12 +21,31 @@ _DAMPING = 1e-3
 # at a time.
 _WIDTH = 4096
 
-# find_mu_vectors solves restarts in rounds, the first ending at _ROUND
-# restarts and each later one at 1.5 times the previous end (2,048, 3,072,
-# 4,608, ...), capped at cfg.restarts, and stops after the first round that
-# leaves every cluster with at least _SATURATED hits.
+# find_mu_vectors solves restarts in rounds that end at _ROUND restarts and
+# then at 1.5 times the previous end (2,048, 3,072, 4,608, ...), capped at
+# cfg.restarts; a pair with a symmetry besides the identity runs a first round
+# of _FIRST restarts before them. It stops after the first round that leaves
+# every orbit of clusters with at least _SATURATED hits.
+_FIRST = 128
 _ROUND = 2048
 _SATURATED = 16
+
+# A cluster is completed by the pair's symmetries only when it is isolated:
+# the smallest singular value of the phase Jacobian at its representative is
+# at least _ISOLATED; the representative first takes _POLISH Gauss-Newton
+# steps. A map is a symmetry when |H^dagger M H| lies within
+# _SYMMETRY of a permutation matrix; _MATCH is how near two unit-modulus
+# ratios must be for the search over row images to keep a branch. A row of
+# that search whose candidate branches, times d^2, pass _BRANCHES (16 MiB of
+# complex entries) ends it with the identity alone, and the search runs as
+# for a pair without symmetries. {I, F_d} for d = 11 to 13 and the 8 x 8
+# Sylvester-Hadamard pair, with groups of 1,152 to 21,504 maps, end so; S6
+# and F_d up to d = 8 reach a fifth of it, F_9 and F_10 about 60%.
+_ISOLATED = 1e-3
+_POLISH = 2
+_SYMMETRY = 1e-9
+_MATCH = 1e-6
+_BRANCHES = 1 << 20
 
 # The most (center, column) pairs _near_pairs measures at once, and how many
 # tentative centers, the first unclaimed columns, each pass of _cluster takes.
@@ -79,9 +98,12 @@ class MUVectorSet:
     """Deduplicated unit vectors MU to both members of a pair.
 
     Vectors are gauge-fixed representatives (largest-modulus component real
-    positive), each with the best residual seen in its cluster and the number
-    of restarts that converged into the cluster. restarts_run is how many
-    restarts the search solved, and saturated whether every cluster had at
+    positive), each with the best residual seen in its cluster, the number
+    of restarts that converged into the cluster (0 for a vector reached only
+    through a symmetry) and the index of its orbit, numbered in list order.
+    group_order is the number of symmetries of the pair that the search
+    used (1 when there were too many to list, see _BRANCHES), restarts_run how
+    many restarts the search solved, and saturated whether every orbit had at
     least _SATURATED hits when it stopped.
     """
 
@@ -89,6 +111,8 @@ class MUVectorSet:
     vectors: tuple[np.ndarray, ...]
     residuals: tuple[float, ...]
     hits: tuple[int, ...]
+    orbits: tuple[int, ...]
+    group_order: int
     restarts_run: int
     saturated: bool
     manifold_warning: bool = False
@@ -202,6 +226,24 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _jacobian(h_conj: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The real Jacobian d r_j / d phi_k = 2 Im(H_kj conj(u_k) w_j) of the
+    residuals r_j = |w_j|^2 - 1/d for the free phases k = 1..d-1, indexed
+    [j, k - 1, column], with u and w = H^dagger u as in _solve_phases."""
+    jac = 2.0 * h_conj.T.conj()[:, 1:, None] * u[1:].conj()
+    jac *= w[:, None]
+    return np.ascontiguousarray(jac.imag)  # a real copy frees the complex products
+
+
+def _isolation(h_conj: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The smallest singular value of each column's d x (d - 1) Jacobian: a
+    solution with a direction in which no residual moves to first order
+    (about 1e-6 on a continuum, 0.016 or more at isolated points) has one
+    near 0."""
+    jac = _jacobian(h_conj, u, _overlaps(u, h_conj))
+    return np.linalg.svd(jac.transpose(2, 0, 1), compute_uv=False).min(axis=1, initial=np.inf)
+
+
 def _damped_step(
     h_conj: np.ndarray, u: np.ndarray, w: np.ndarray, r: np.ndarray, damping: np.ndarray
 ) -> np.ndarray:
@@ -209,10 +251,7 @@ def _damped_step(
     restart (column) for its free phases, with u, w and r as in _solve_phases.
     Sums over j run in order, like _sum_rows."""
     free = len(u) - 1
-    # d r_j / d phi_k = 2 Im(H_kj conj(u_k) w_j) for k = 1..d-1, indexed [j, k - 1].
-    jac = 2.0 * h_conj.T.conj()[:, 1:, None] * u[1:].conj()
-    jac *= w[:, None]
-    jac = np.ascontiguousarray(jac.imag)  # a real copy frees the complex products
+    jac = _jacobian(h_conj, u, w)
     # The damped lower triangle of J^T J, a row at a time, over the residuals j.
     jtj = np.empty((free, free, len(damping)), dtype=jac.dtype)
     for k in range(free):
@@ -242,6 +281,24 @@ def _cayley(u: np.ndarray, step: np.ndarray) -> np.ndarray:
     out[1:].real = re * cos + im * sin
     out[1:].imag = im * cos - re * sin
     return out
+
+
+def _polish(h_conj: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """u (d, n) after _POLISH Gauss-Newton steps (_damped_step at damping
+    0, turned by _cayley), each kept only by the columns whose residual it
+    lowers. An accepted solution sits within about sqrt(RESIDUAL_TOL) of its
+    answer; near an isolated one each step squares that distance, down to
+    rounding."""
+    target = 1.0 / len(u)
+    w = _overlaps(u, h_conj)
+    f, r = _residual(w, target)
+    for _ in range(_POLISH):
+        trial = _cayley(u, _damped_step(h_conj, u, w, r, np.zeros(u.shape[1])))
+        w_trial = _overlaps(trial, h_conj)
+        f_trial, r_trial = _residual(w_trial, target)
+        better = f_trial < f
+        u, w, r, f = (np.where(better, new, old) for new, old in ((trial, u), (w_trial, w), (r_trial, r), (f_trial, f)))
+    return u
 
 
 def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float) -> np.ndarray:
@@ -429,19 +486,143 @@ def _cluster(
     return cols[:, np.concatenate(centers)], np.hstack([old_reps, vecs])[:, reps], res[reps], hits
 
 
+def _map_defects(h: np.ndarray, perms: np.ndarray, phases: np.ndarray, conj: np.ndarray) -> np.ndarray:
+    """How far each map M, v -> D P v or D P conj(v) with (D P v)_i =
+    phases_i v_{perms_i}, is from a symmetry of {I, h}: the largest entry of
+    | |h^dagger M h| - Q | for Q the rounding of |h^dagger M h|, or inf where
+    Q is not a permutation matrix. h^dagger M h is unitary, so it is
+    monomial when the defect is small, and M then maps the columns of h to
+    columns of h up to phase, as it maps those of I."""
+    mapped = np.where(conj[:, None, None], h.conj()[perms], h[perms]) * phases[:, :, None]
+    m = np.abs(h.conj().T @ mapped)
+    q = np.round(m)
+    permutation = (q.sum(axis=1) == 1).all(axis=1) & (q.sum(axis=2) == 1).all(axis=1)
+    return np.where(permutation, np.abs(m - q).max(axis=(1, 2)), np.inf)
+
+
+def _symmetry_group(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The monomial symmetries of the pair {I, h}, h a d x d unitary with
+    entries of modulus 1/sqrt(d): the maps v -> D P v and v -> D P conj(v),
+    P a permutation and D a diagonal of phases with D_0 = 1, that map the
+    columns of h to columns of h up to phase. They map the vectors MU to the
+    pair onto themselves. The g-th map is the triple (perms[g], phases[g],
+    conj[g]), (D P v)_i = phases_i v_{perms_i}, each with a _map_defects
+    value of at most _SYMMETRY; the identity is always one, and the only one
+    when the search would hold more than _BRANCHES entries at once.
+
+    A search over row images, a row at a time, over every (conjugate,
+    perms_0) at once: a map sends column j of the source s (h or conj(h)) to
+    column tau(j) of h times a phase exactly when, with every column divided
+    by its row-0 entry, source column j reads as target column tau(j) in
+    every row. Row r of a branch takes an unused source row and the phase
+    D_r that sends source column 0 into a target column of its class, and
+    survives when the source columns, read down to row r, match the target
+    columns as a multiset; a class is the set of target columns that agree
+    down to the previous row, labelled by its first column. A branch thus
+    dies once rows 0 and 1 fail to carry the same multiset of column ratios
+    up to one phase, and no search lists all d! permutations.
+    """
+    d = len(h)
+    target = h / h[0]
+    source = np.stack([h, h.conj()])
+    quot = source[:, None] / source[:, :, None]  # [c, s0, s, j] = s_sj / s_s0j, turned so that j = 0 reads 1
+    quot /= quot[..., :1]
+    conj = np.repeat([0, 1], d)
+    perms = np.tile(np.arange(d), 2)[:, None]
+    phases = np.ones((2 * d, 1), dtype=complex)
+    labels = np.zeros((2 * d, d), dtype=int)  # each source column's class
+    cls = np.zeros(d, dtype=int)  # each target column's class
+    for r in range(1, d):
+        row = target[r]
+        value = (np.abs(row[:, None] - row) < _MATCH).argmax(axis=1)  # the first column of equal entry
+        key = cls * d + value
+        refined = (key[:, None] == key).argmax(axis=1)
+        refine = np.full(d * d, -1)
+        refine[key] = refined
+        free = np.ones((len(conj), d), dtype=bool)
+        free[np.arange(len(conj))[:, None], perms] = False
+        # Column 0 goes to the first column of a refined class inside its class.
+        lead = (cls == labels[:, :1]) & (refined == np.arange(d))
+        b, s, t = np.nonzero(free[:, :, None] & lead[:, None, :])
+        if len(b) * d * d > _BRANCHES:
+            return np.arange(d)[None], np.ones((1, d), dtype=complex), np.zeros(1, dtype=bool)
+        near = np.abs((row[t, None] * quot[conj[b], perms[b, 0], s])[:, :, None] - row) < _MATCH
+        moved = np.where(near.any(axis=2), refine[labels[b] * d + value[near.argmax(axis=2)]], -1)
+        ok = (moved >= 0).all(axis=1) & (np.sort(moved, axis=1) == np.sort(refined)).all(axis=1)
+        b, s, t, labels, cls = b[ok], s[ok], t[ok], moved[ok], refined
+        conj = conj[b]
+        perms = np.column_stack([perms[b], s])
+        phases = np.column_stack([phases[b], row[t] * source[conj, perms[:, 0], 0] / source[conj, s, 0]])
+    keep = _map_defects(h, perms, phases, conj) <= _SYMMETRY
+    return perms[keep], phases[keep], conj[keep] == 1
+
+
+def _accepted(v: np.ndarray, basis_conj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of v, with their residuals, whose residual is at most
+    RESIDUAL_TOL and whose independent _recheck is at most 10 RESIDUAL_TOL."""
+    target = 1.0 / len(v)
+    f, _ = _residual(_overlaps(v, basis_conj), target)
+    keep = f <= RESIDUAL_TOL
+    keep[keep] = _recheck(v.T[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
+    return v[:, keep], f[keep]
+
+
+def _complete(
+    clusters: tuple[np.ndarray, ...], orbit: np.ndarray, group: tuple[np.ndarray, ...], a: np.ndarray,
+    h_conj: np.ndarray, basis_conj: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Give every cluster without an orbit index one, completing its orbit.
+
+    orbit holds the orbit index of each earlier cluster; the clusters after
+    it are new. If the group is more than the identity, each new isolated
+    cluster that no earlier one of them reached opens an orbit, in cluster
+    order: its representative is taken to the {I, H} frame (u = A^dagger v),
+    polished, so that its images are as accurate as the best restarts,
+    mapped by every symmetry and pulled back, and the images that pass a
+    solved restart's gate (_accepted) are clustered after all the clusters.
+    Every cluster without an index that they reach or open joins the orbit.
+    Any other new cluster is an orbit of its own. An orbit's index is the
+    index of the cluster that opened it. Images are not restarts: the hits
+    stay as they were, 0 for a cluster that only images reached.
+    """
+    perms, phases, conj = group
+    orbit = np.pad(orbit, (0, len(clusters[3]) - len(orbit)), constant_values=-1)
+    new = np.flatnonzero(orbit < 0)
+    if len(perms) > 1 and len(new):
+        u = a.conj().T @ clusters[1][:, new]
+        isolated = _isolation(h_conj, u) >= _ISOLATED
+        for c, uc in zip(new[isolated].tolist(), u[:, isolated].T):
+            if orbit[c] >= 0:
+                continue
+            uc = _polish(h_conj, uc[:, None])[:, 0]
+            images = phases * np.where(conj[:, None], uc.conj()[perms], uc[perms])
+            hits = clusters[3]
+            clusters = _cluster(clusters, *_accepted(_overlaps(images.T, a.T), basis_conj), CLUSTER_TOL)
+            hits = np.pad(hits, (0, len(clusters[3]) - len(hits)))
+            orbit = np.pad(orbit, (0, len(hits) - len(orbit)), constant_values=-1)
+            orbit[(clusters[3] > hits) & (orbit < 0)] = c
+            clusters = clusters[:3] + (hits,)
+    alone = np.flatnonzero(orbit < 0)
+    orbit[alone] = alone
+    return clusters, orbit
+
+
 def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MUVectorSet:
     """Collect and cluster all vectors found MU to a pair.
 
     Maps the pair {A, B} to {I, H} with H = A^dagger B, where a vector MU to
     I is u = e^{i phi} / sqrt(d) with phi_0 = 0 pinned. Runs independent
     seeded solves for the d - 1 free phases in rounds that end at _ROUND,
-    1.5 _ROUND, 2.25 _ROUND, ... restarts, capped at cfg.restarts. Each round pulls
-    its solutions back as v = A u, keeps those with residual <= RESIDUAL_TOL
-    that also pass an independently accumulated re-check, and clusters them
-    up to global phase after those of earlier rounds, in restart order. The
-    search stops after the first round that leaves every cluster with
-    _SATURATED hits, or at the cap. The gauge-fixed representatives are listed
-    by their rounded components.
+    1.5 _ROUND, 2.25 _ROUND, ... restarts, after a first round of _FIRST when
+    the pair has a symmetry besides the identity, capped at cfg.restarts.
+    Each round pulls its solutions back as v = A u, keeps those with residual
+    <= RESIDUAL_TOL that also pass an independently accumulated re-check, and
+    clusters them up to global phase after those of earlier rounds, in
+    restart order. _complete then maps each new orbit's first isolated
+    cluster by the symmetries, so the clusters come in orbits. The search
+    stops after the first round that leaves every orbit with _SATURATED hits,
+    or at the cap. The gauge-fixed representatives are listed by their
+    rounded components.
 
     The round ends do not depend on the cap, so a search that stops after N
     restarts equals, bit for bit, one capped at N. Deterministic for a given
@@ -451,7 +632,7 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     a = pair.first.matrix
     h_conj = a.T @ pair.second.matrix.conj()
     basis_conj = pair.basis_vectors().conj()
-    target = 1.0 / d
+    group = _symmetry_group(h_conj.conj())
 
     # numpy raises ValueError, not MemoryError, for an array whose size in
     # bytes its index type cannot hold; a cap whose round's accepted vectors,
@@ -459,25 +640,23 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     if d * cfg.restarts * np.dtype(complex).itemsize > np.iinfo(np.intp).max:
         raise MemoryError(f"{cfg.restarts} restarts need more memory than numpy can address")
     empty = np.empty((d, 0), dtype=complex)
-    clusters = (empty, empty, np.empty(0), np.empty(0, dtype=int))
-    lo, hi = 0, min(_ROUND, cfg.restarts)
+    clusters, orbit = (empty, empty, np.empty(0), np.empty(0, dtype=int)), np.empty(0, dtype=int)
+    lo, hi = 0, min(_FIRST if len(group[0]) > 1 else _ROUND, cfg.restarts)
     while True:
         # Solve, pull back, residual and recheck the round a chunk at a time.
         vecs, res = [], []
         for c in range(lo, hi, _chunk):
             phases = _start_phases(cfg.master_seed, c, min(c + _chunk, hi), d)
-            v = _overlaps(_solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL), a.T)
-            f, _ = _residual(_overlaps(v, basis_conj), target)
-            keep = f <= RESIDUAL_TOL
-            keep[keep] = _recheck(v.T[keep], basis_conj, target) <= 10.0 * RESIDUAL_TOL
-            vecs.append(v[:, keep])
-            res.append(f[keep])
+            v, f = _accepted(_overlaps(_solve_phases(phases, h_conj, MAX_ITERS, RESIDUAL_TOL), a.T), basis_conj)
+            vecs.append(v)
+            res.append(f)
         clusters = _cluster(clusters, np.hstack(vecs), np.concatenate(res), CLUSTER_TOL)
+        clusters, orbit = _complete(clusters, orbit, group, a, h_conj, basis_conj)
         centers, reps, best, hits = clusters
-        saturated = bool(hits.size) and int(hits.min()) >= _SATURATED
+        saturated = bool(hits.size) and bool(np.bincount(orbit, weights=hits)[orbit].min() >= _SATURATED)
         if saturated or hi == cfg.restarts:
             break
-        lo, hi = hi, min(hi + hi // 2, cfg.restarts)
+        lo, hi = hi, min(max(hi + hi // 2, _ROUND), cfg.restarts)
 
     # A continuum of solutions shows up as centers packed close to the
     # clustering scale; flag it rather than trying to parameterize it.
@@ -490,8 +669,12 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
     order = np.lexsort(np.round(np.concatenate([out.real, out.imag], axis=1), 9).T[::-1])
     out = out[order]
     out.setflags(write=False)
+    # Orbits are numbered by their first vector in the list.
+    _, first, orbit = np.unique(orbit[order], return_index=True, return_inverse=True)
+    orbits = tuple(np.argsort(np.argsort(first))[orbit].tolist())
     return MUVectorSet(
-        pair, tuple(out), tuple(best[order].tolist()), tuple(hits[order].tolist()), hi, saturated, manifold
+        pair, tuple(out), tuple(best[order].tolist()), tuple(hits[order].tolist()), orbits, len(group[0]), hi,
+        saturated, manifold
     )
 
 

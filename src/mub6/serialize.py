@@ -133,9 +133,11 @@ def extension_result_to_dict(result: ExtensionResult) -> dict:
     return {
         "pair": pair_to_dict(vecset.pair),
         "clusters": [
-            {"vector": np.asarray(v).view(float).reshape(-1, 2).tolist(), "residual": float(r), "hits": int(h)}
-            for v, r, h in zip(vecset.vectors, vecset.residuals, vecset.hits)
+            {"vector": np.asarray(v).view(float).reshape(-1, 2).tolist(), "residual": float(r), "hits": int(h),
+             "orbit": int(o)}
+            for v, r, h, o in zip(vecset.vectors, vecset.residuals, vecset.hits, vecset.orbits)
         ],
+        "group_order": int(vecset.group_order),
         "restarts_run": int(vecset.restarts_run),
         "saturated": bool(vecset.saturated),
         "manifold_warning": bool(vecset.manifold_warning),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -29,12 +30,15 @@ from mub6.search import (
     _cluster,
     _damped_step,
     _gauge_fix,
+    _isolation,
+    _map_defects,
     _overlaps,
     _recheck,
     _residual,
     _solve_phases,
     _spd_solve,
     _start_phases,
+    _symmetry_group,
 )
 
 from grid_oracle import _residual_batch
@@ -150,62 +154,94 @@ def test_find_mu_vectors_bit_identical_at_any_chunk():
     assert all(_same_result(runs[0], other) for other in runs[1:])
 
 
-def _round_ends(cap):
-    # 2,048, then 1.5 times the previous end: 3,072, 4,608, 6,912, ...
-    ends = [search._ROUND]
+def _round_ends(cap, first):
+    # first (128 for a pair with a symmetry besides the identity), then
+    # 2,048 and 1.5 times the previous end: 3,072, 4,608, 6,912, ...
+    ends = [first, search._ROUND] if first < search._ROUND else [search._ROUND]
     while ends[-1] < cap:
         ends.append(ends[-1] + ends[-1] // 2)
     return ends
 
 
+def _orbit_hits(vecset):
+    return np.bincount(vecset.orbits, weights=vecset.hits)
+
+
 def test_search_stops_once_saturated():
     # S6 and P0 saturate long before a cap of 20k, and a search that stops
-    # after N restarts equals one capped at N, at any chunk size. At seed 3
-    # S6 stops after three rounds, at 4,608, and P0 after one.
-    for pair in (reduce_P2()[0], make_family_pair("P0")):
+    # after N restarts equals one capped at N, at any chunk size. The stop
+    # counts hits per orbit: at seed 3 S6 and P0 stop after the first round,
+    # at 128, and hits count restarts only. Near the continuum point of P1,
+    # 12 of the 48 vectors are not isolated, each an orbit of its own, and
+    # the search stops at 2,048, the first round that gives each of them 16
+    # hits.
+    c = 2 * np.pi / 3
+    pairs = [(reduce_P2()[0], 128), (make_family_pair("P0"), 128), (reduce_P1(c + 1e-5, c + 1e-5)[0], 2048)]
+    for pair, stop in pairs:
         got = find_mu_vectors(pair, SearchConfig(restarts=20000, master_seed=3))
         n = got.restarts_run
-        assert got.saturated and n < 20000 and min(got.hits) >= search._SATURATED
-        assert n in _round_ends(20000)
+        assert got.saturated and n == stop and _orbit_hits(got).min() >= search._SATURATED
+        assert n in _round_ends(20000, search._FIRST) and got.group_order > 1
+        assert sum(got.hits) <= n
         for chunk in (search._WIDTH, 37):
             capped = find_mu_vectors(pair, SearchConfig(restarts=n, master_seed=3), _chunk=chunk)
-            assert _same_result(capped, got)
+            assert _same_result(capped, got) and capped.orbits == got.orbits
             assert (capped.restarts_run, capped.saturated) == (n, True)
+        if n > search._FIRST:
+            earlier = find_mu_vectors(pair, SearchConfig(restarts=search._FIRST, master_seed=3))
+            assert not earlier.saturated and _orbit_hits(earlier).min() < search._SATURATED
 
 
-@pytest.mark.parametrize("cap", [32, 64, 400, 2047])
+@pytest.mark.parametrize("cap", [32, 64, 128, 400, 2047])
 def test_cap_below_one_round_solves_once(monkeypatch, cap):
-    # Criterion 5's 64 and 400 restarts and criterion 9's 32 run as one
-    # solve over every restart, clustered in one _cluster call, as without
-    # rounds.
-    solves, clusters = [], []
-    solve, cluster = search._solve_phases, search._cluster
+    # Criterion 5's 64 and 400 restarts and criterion 9's 32 run in rounds:
+    # a cap up to the first round's 128 as one solve over every restart, a
+    # cap above it, below 2,048, as two, 128 and the rest, once the stop is
+    # out of reach. Each round's accepted restarts are clustered in one
+    # _cluster call; the completion's calls cluster images, which add no
+    # hits.
+    solves, clusters, completing = [], [], []
+    solve, cluster, complete = search._solve_phases, search._cluster, search._complete
 
     def counted_solve(phases, *args):
         solves.append(phases.shape[1])
         return solve(phases, *args)
 
     def counted_cluster(old, vecs, *args):
-        clusters.append(vecs.shape[1])
+        if not completing:
+            clusters.append(vecs.shape[1])
         return cluster(old, vecs, *args)
+
+    def flagged_complete(*args):
+        completing.append(True)
+        try:
+            return complete(*args)
+        finally:
+            completing.pop()
 
     monkeypatch.setattr(search, "_solve_phases", counted_solve)
     monkeypatch.setattr(search, "_cluster", counted_cluster)
+    monkeypatch.setattr(search, "_complete", flagged_complete)
+    monkeypatch.setattr(search, "_SATURATED", 10**9)
     for pair in (pair_zx_d3(), reduce_P2()[0]):
         solves.clear()
         clusters.clear()
         got = find_mu_vectors(pair, SearchConfig(restarts=cap, master_seed=0))
-        assert (solves, clusters) == ([cap], [sum(got.hits)])
-        assert got.restarts_run == cap
+        assert solves == ([cap] if cap <= search._FIRST else [search._FIRST, cap - search._FIRST])
+        assert len(clusters) == len(solves) and sum(clusters) == sum(got.hits)
+        assert got.restarts_run == cap and not got.saturated
 
 
 def test_continuum_point_runs_to_the_cap(monkeypatch):
     # {I, F~(2 pi/3, 2 pi/3)} has a continuum of MU vectors: every round
-    # finds new clusters of one hit. Its four rounds, clustered after
-    # hundreds of old centers each, end as one _cluster call on every
-    # accepted column would: compared as floats, not as bytes of a file.
-    # At a step cap of 2,000 every restart here converges, and the slow
-    # ones, which a cap of 15 rejects, give the hundreds of old centers.
+    # finds new clusters of one hit. Its 72 symmetries complete only the
+    # isolated clusters, one orbit of 36; every other cluster is an orbit of
+    # its own and keeps the search running to the cap. Its five rounds and
+    # one completion, clustered after hundreds of old centers from the third
+    # round on, end as one _cluster call on every accepted column and image
+    # would, save the images' hits: compared as floats, not as bytes of a
+    # file. At a step cap of 2,000 every restart here converges, and the
+    # slow ones, which a cap of 15 rejects, give the hundreds of old centers.
     rounds, out, cluster = [], [], search._cluster
 
     def spied(clusters, vecs, res, radius):
@@ -217,17 +253,24 @@ def test_continuum_point_runs_to_the_cap(monkeypatch):
     monkeypatch.setattr(search, "MAX_ITERS", 2000)
     pair = MUPair(Basis(np.eye(6, dtype=complex)), Basis(make_Ftilde(2 * np.pi / 3, 2 * np.pi / 3)))
     got = find_mu_vectors(pair, SearchConfig(restarts=6144, master_seed=0))
-    assert (got.restarts_run, got.saturated) == (6144, False)
-    assert min(got.hits) < search._SATURATED
+    assert (got.restarts_run, got.saturated, got.group_order) == (6144, False, 72)
+    assert _orbit_hits(got).min() < search._SATURATED
+    sizes = np.bincount(got.orbits)
+    assert sorted(set(sizes.tolist())) == [1, 36] and (sizes == 36).sum() == 1
+    # The 36 are isolated, by a wide margin; the continuum's samples are not.
+    isolation = _isolation(_frame(pair).conj(), np.array(got.vectors).T)
+    in_orbit = sizes[list(got.orbits)] == 36
+    assert isolation[in_orbit].min() > 0.05 and isolation[~in_orbit].max() < 1e-4
     old, vecs, res = zip(*rounds)
-    assert len(old) == 4 and old[0] == 0 and min(old[1:]) >= 200
+    assert len(old) == 6 and old[0] == 0 and min(old[3:]) >= 200
     vecs, res = np.hstack(vecs), np.concatenate(res)
     centers, reps, hits = _cluster_indices(vecs, res, search.CLUSTER_TOL)
     final = out[-1]
     assert np.array_equal(final[0], vecs[:, centers])
     assert np.array_equal(final[1], vecs[:, reps])
     assert np.array_equal(final[2], res[reps])
-    assert final[3].tolist() == hits.tolist() and sum(got.hits) == vecs.shape[1]
+    assert (final[3] <= hits).all() and sum(got.hits) == 6144
+    assert hits.sum() - final[3].sum() == vecs.shape[1] - 6144 > 0
 
 
 @pytest.mark.parametrize("family, offset", [("P1", 1e-1), ("P1", 1e-3), ("P1", 1e-5), ("P1", 1e-7), ("P3", 1e-7)])
@@ -235,8 +278,12 @@ def test_step_cap_keeps_every_vector_near_the_continuum_point(monkeypatch, famil
     # Approaching {I, F~(2 pi/3, 2 pi/3)}, where the 48 isolated vectors of
     # the family merge into a continuum, restarts converge more slowly and a
     # cap of 15 steps rejects more of them. Down to an offset of 1e-7 the
-    # search still saturates on the same 48 vectors as at a cap of 2,000;
-    # at 1e-7 it takes one round more to give every vector 16 hits.
+    # search still saturates on the same 48 vectors as at a cap of 2,000.
+    # The 12 slow ones are no longer isolated from an offset of about 4e-5
+    # inward (their smallest Jacobian singular value, about 0.155 sqrt of
+    # the offset, falls below 1e-3), so no symmetry completes them: each must
+    # reach 16 hits itself, which takes rounds up to 2,048, and at 1e-7 one
+    # round more at a cap of 15.
     c = 2 * np.pi / 3
     if family == "P1":
         pair = reduce_P1(c + offset, c + offset)[0]
@@ -247,16 +294,235 @@ def test_step_cap_keeps_every_vector_near_the_continuum_point(monkeypatch, famil
     monkeypatch.setattr(search, "MAX_ITERS", 2000)
     long = find_mu_vectors(pair, cfg)
     assert (len(short), short.saturated, len(long), long.saturated) == (48, True, 48, True)
-    assert (short.restarts_run, long.restarts_run) == ((3072 if offset == 1e-7 else 2048), 2048)
+    runs = {1e-1: (128, 128), 1e-3: (128, 128), 1e-5: (2048, 2048), 1e-7: (3072, 2048)}
+    assert (short.restarts_run, long.restarts_run) == runs[offset]
     overlaps = np.abs(np.array(short.vectors).conj() @ np.array(long.vectors).T)
     assert np.sqrt(np.maximum(2.0 - 2.0 * overlaps.max(axis=1), 0.0)).max() < search.CLUSTER_TOL
 
 
+def _frame(pair):
+    """H = A^dagger B of a pair {A, B}: the search works on {I, H}."""
+    return pair.first.matrix.conj().T @ pair.second.matrix
+
+
+def _fourier_pair(d):
+    k = np.arange(d)
+    return MUPair(Basis(np.eye(d, dtype=complex)), Basis(np.exp(2j * np.pi * np.outer(k, k) / d) / np.sqrt(d)))
+
+
+def _brute_force_group(h):
+    """Every map v -> D P v or D P conj(v), over all d! row permutations, with
+    D fixed (D_0 = 1) by sending column 0 to each column k of h, kept where
+    _map_defects accepts it."""
+    d = len(h)
+    rows = np.array(list(itertools.permutations(range(d))))
+    conj = np.repeat([False, True], len(rows) * d)
+    perms = np.tile(np.repeat(rows, d, axis=0), (2, 1))
+    source = np.where(conj[:, None, None], h.conj(), h)[np.arange(len(conj))[:, None], perms]
+    phases = h[:, np.tile(np.arange(d), 2 * len(rows))].T / source[:, :, 0]
+    phases /= phases[:, :1]
+    keep = _map_defects(h, perms, phases, conj) <= search._SYMMETRY
+    return perms[keep], phases[keep], conj[keep]
+
+
+def _same_maps(a, b):
+    """The same set of maps: each map of a equals exactly one of b, with the
+    same permutation and conjugation and phases within 1e-12, and the other
+    way round."""
+    (perms_a, phases_a, conj_a), (perms_b, phases_b, conj_b) = a, b
+    same = (perms_a[:, None] == perms_b).all(axis=2) & (conj_a[:, None] == conj_b)
+    same &= (np.abs(phases_a[:, None] - phases_b) < 1e-12).all(axis=2)
+    return (same.sum(axis=0) == 1).all() and (same.sum(axis=1) == 1).all()
+
+
+GROUPS = {
+    "S6": (lambda: reduce_P2()[0], 720),
+    "P0": (lambda: make_family_pair("P0"), 144),
+    "P1": (lambda: reduce_P1(0.7, 1.3)[0], 12),
+    "P3": (lambda: reduce_P3(0.4, 1.1, 0.9, 2.0)[0], 12),
+    "Ftilde": (lambda: reduce_P1(2 * np.pi / 3, 2 * np.pi / 3)[0], 72),
+    "F2": (lambda: _fourier_pair(2), 8),
+    "F3": (lambda: _fourier_pair(3), 36),
+    "F4": (lambda: _fourier_pair(4), 64),
+    "F5": (lambda: _fourier_pair(5), 200),
+    "F7": (lambda: _fourier_pair(7), 588),
+    "XY3": (lambda: pairs_d3()[2], 36),
+}
+
+
+@pytest.mark.parametrize("name", list(GROUPS))
+def test_symmetry_group_orders_and_brute_force(name):
+    # 720, 144 and 12 maps for S6, P0 and P1(0.7, 1.3), and 588 = 2 * 7 *
+    # 42 for {I, F7} (conjugation, the 7 shifts and the affine maps of Z_7).
+    # Up to d = 6 the search over row images finds exactly the maps that
+    # trying all d! permutations, with and without conjugation, finds.
+    make, order = GROUPS[name]
+    h = _frame(make())
+    checked, defects = [], search._map_defects
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_map_defects", lambda h, *maps: checked.append(len(maps[0])) or defects(h, *maps))
+        group = _symmetry_group(h)
+    perms, phases, conj = group
+    # The branches that reach the final check are exactly the group's maps.
+    assert len(perms) == order and checked == [order]
+    assert (np.sort(perms, axis=1) == np.arange(len(h))).all() and (phases[:, 0] == 1).all()
+    assert np.abs(np.abs(phases) - 1).max() < 1e-12
+    assert (_map_defects(h, *group) <= search._SYMMETRY).all()
+    identity = (perms == np.arange(len(h))).all(axis=1) & ~conj & (np.abs(phases - 1) < 1e-12).all(axis=1)
+    assert identity.sum() == 1
+    if len(h) <= 6:
+        assert _same_maps(group, _brute_force_group(h))
+
+
+def test_a_group_search_too_large_to_hold_leaves_the_identity():
+    # The 8 x 8 Sylvester-Hadamard pair has 21,504 symmetries and {I, F11}
+    # 2,420: a row of either search would hold more than _BRANCHES entries,
+    # so the search keeps the identity alone and runs as for a pair without
+    # symmetries, a cap below 2,048 in one round.
+    f2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    sylvester = MUPair(Basis(np.eye(8, dtype=complex)), Basis(np.kron(np.kron(f2, f2), f2).astype(complex)))
+    for pair in (sylvester, _fourier_pair(11)):
+        perms, phases, conj = _symmetry_group(_frame(pair))
+        identity = ([list(range(pair.dim))], [[1.0] * pair.dim], [False])
+        assert (perms.tolist(), phases.tolist(), conj.tolist()) == identity
+    got = find_mu_vectors(sylvester, SearchConfig(restarts=300, master_seed=0))
+    assert (got.group_order, got.restarts_run) == (1, 300) and got.orbits == tuple(range(len(got)))
+
+
+def _images(pair, vectors, group):
+    """The images of vectors (rows) under each map, in the pair's frame:
+    (maps, vectors, d)."""
+    a = pair.first.matrix
+    perms, phases, conj = group
+    u = np.asarray(vectors) @ a.conj()  # rows of u = A^dagger v
+    source = np.where(conj[:, None, None], u.conj(), u)
+    mapped = np.take_along_axis(source, np.broadcast_to(perms[:, None, :], source.shape), axis=2)
+    return (phases[:, None, :] * mapped) @ a.T
+
+
+@pytest.mark.parametrize("name", ["S6", "P0", "P1"])
+def test_symmetries_map_the_found_vectors_onto_themselves(name):
+    pair = GROUPS[name][0]()
+    found = find_mu_vectors(pair, SearchConfig(restarts=20000, master_seed=1))
+    vectors = np.array(found.vectors)
+    group = _symmetry_group(_frame(pair))
+    assert found.group_order == len(group[0])
+    for start in range(0, len(group[0]), 90):
+        part = tuple(x[start : start + 90] for x in group)
+        same = np.abs(_images(pair, vectors, part) @ vectors.conj().T) > 1 - 1e-9
+        # Each image is one of the vectors up to phase, and each vector one image.
+        assert (same.sum(axis=2) == 1).all() and (same.sum(axis=1) == 1).all()
+
+
+@pytest.mark.parametrize("name", ["S6", "P0", "P1", "F5"])
+def test_a_map_with_one_phase_changed_or_two_images_swapped_is_rejected(name):
+    h = _frame(GROUPS[name][0]())
+    perms, phases, conj = _symmetry_group(h)
+    d = len(h)
+    for k in range(d):
+        turned = phases.copy()
+        turned[:, k] *= np.exp(1e-6j)
+        assert (_map_defects(h, perms, turned, conj) > search._SYMMETRY).all()
+    # Phases off the unit circle give no monomial unitary.
+    for scale in (0.0, 2.0):
+        assert (_map_defects(h, perms, scale * phases, conj) > search._SYMMETRY).all()
+    # Swapping two entries of a permutation gives a map that is accepted
+    # exactly when it is one of the group's; most are not.
+    keys = {(tuple(p), bool(c)) for p, c in zip(perms.tolist(), conj)}
+    rejected = 0
+    for i, j in itertools.combinations(range(d), 2):
+        swapped = perms.copy()
+        swapped[:, [i, j]] = swapped[:, [j, i]]
+        ok = _map_defects(h, swapped, phases, conj) <= search._SYMMETRY
+        for p, c, accepted in zip(swapped.tolist(), conj, ok):
+            if not accepted:
+                rejected += 1
+            elif (tuple(p), bool(c)) not in keys:
+                raise AssertionError(f"swapped map {p} accepted but not in the group")
+    assert rejected > len(perms)
+
+
+def _search_without_orbits(pair, cfg):
+    """The search before symmetries: rounds ending at 2,048, 3,072, ...,
+    stopping once every cluster has _SATURATED hits. Its clusters, gauge
+    fixed, and its restart count."""
+    a, d = pair.first.matrix, pair.dim
+    h_conj, basis_conj = a.T @ pair.second.matrix.conj(), pair.basis_vectors().conj()
+    clusters, lo, hi = _no_clusters(d), 0, min(search._ROUND, cfg.restarts)
+    while True:
+        u = _solve_phases(_start_phases(cfg.master_seed, lo, hi, d), h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
+        clusters = _cluster(clusters, *search._accepted(_overlaps(u, a.T), basis_conj), search.CLUSTER_TOL)
+        if clusters[3].min() >= search._SATURATED or hi == cfg.restarts:
+            return _gauge_fix(clusters[1].T), clusters[2], clusters[3], hi
+        lo, hi = hi, min(hi + hi // 2, cfg.restarts)
+
+
+def test_a_pair_without_symmetries_searches_as_before(monkeypatch):
+    # With the group cut to the identity, every cluster is an orbit of its
+    # own: the rounds end at 2,048, 3,072, ..., and the vectors, residuals,
+    # hits and restart count are those of the search without orbits.
+    identity = lambda h: (np.arange(len(h))[None], np.ones((1, len(h)), dtype=complex), np.zeros(1, dtype=bool))
+    monkeypatch.setattr(search, "_symmetry_group", identity)
+    for pair, cfg, rounds in ((reduce_P2()[0], SearchConfig(20000, 3), [2048, 1024, 1536]),
+                              (make_family_pair("P0"), SearchConfig(20000, 0), [2048])):
+        solves, solve = [], search._solve_phases
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_solve_phases", lambda p, *args: solves.append(p.shape[1]) or solve(p, *args))
+            got = find_mu_vectors(pair, cfg)
+        vectors, best, hits, hi = _search_without_orbits(pair, cfg)
+        n = sum(rounds)
+        assert (solves, got.restarts_run, hi, got.group_order, got.saturated) == (rounds, n, n, 1, True)
+        assert n in _round_ends(20000, search._ROUND)
+        listed = {v.tobytes(): (r, k) for v, r, k in zip(got.vectors, got.residuals, got.hits)}
+        assert listed == {v.tobytes(): (r, k) for v, r, k in zip(vectors, best.tolist(), hits.tolist())}
+        assert got.orbits == tuple(range(len(got)))
+
+
+def test_completion_lists_every_vector_from_a_small_budget():
+    # 64 restarts miss some of S6's 90 vectors and P0's 48; the maps of one
+    # representative per orbit give the rest, each rechecked, with 0 hits.
+    # The hits still count the accepted restarts only.
+    for pair, count, orbits in ((reduce_P2()[0], 90, [90]), (make_family_pair("P0"), 48, [12, 36])):
+        got = find_mu_vectors(pair, SearchConfig(restarts=64, master_seed=0))
+        assert (len(got), got.restarts_run, sorted(np.bincount(got.orbits).tolist())) == (count, 64, orbits)
+        assert 0 < sum(got.hits) <= 64 and got.hits.count(0) > 0
+        assert max(got.residuals) <= search.RESIDUAL_TOL
+        assert _recheck(np.array(got.vectors), pair.basis_vectors().conj(), 1 / 6).max() <= 10 * search.RESIDUAL_TOL
+
+
+def test_completed_vectors_are_orthogonal_to_rounding():
+    # An image carries the error of the vector it maps, and an accepted
+    # restart sits up to about sqrt(RESIDUAL_TOL) = 1e-10 from its answer: at
+    # P0 seeds 22 and 55, mapping the representatives as found left
+    # orthogonal pairs 1.2e-10 and 1.0e-10 from orthogonal, past the 1e-10 a
+    # Basis allows. Polished first, every orthogonal pair is within 1e-14.
+    for seed in (22, 55):
+        got = find_mu_vectors(make_family_pair("P0"), SearchConfig(restarts=6000, master_seed=seed))
+        vectors = np.array(got.vectors)
+        overlaps = np.abs(vectors.conj() @ vectors.T)
+        assert len(got) == 48 and overlaps[overlaps < 1e-6].max() < 1e-14
+
+
+def test_images_of_a_map_that_is_no_symmetry_are_rejected(monkeypatch):
+    # Completion checks every image as it checks a solved restart: with a
+    # map added to the group that turns one phase of S6's symmetries, its
+    # images are not MU to the pair, fail the residual gate and list
+    # nothing, and the 90 vectors come out as before.
+    group = _symmetry_group(_frame(reduce_P2()[0]))
+    bad = (group[0][:2], group[1][:2] * np.exp(0.3j * np.eye(6)[1]), group[2][:2])
+    bent = tuple(np.concatenate([x, y]) for x, y in zip(group, bad))
+    monkeypatch.setattr(search, "_symmetry_group", lambda h: bent)
+    got = find_mu_vectors(reduce_P2()[0], SearchConfig(restarts=64, master_seed=0))
+    assert (len(got), got.group_order) == (90, 722)
+    assert _recheck(np.array(got.vectors), reduce_P2()[0].basis_vectors().conj(), 1 / 6).max() <= 1e-19
+
+
 def test_chunks_reach_cluster_in_restart_order(monkeypatch):
-    # A P0 search capped at 3,000 runs two rounds, with the stop out of reach
-    # (P0 saturates after one). Solved 37 restarts at a time, each round's
-    # accepted columns and residuals reach _cluster with the bits and in the
-    # order of the default chunk, which solves each round at once.
+    # A P0 search capped at 3,000 runs three rounds, 128, 2,048 and 3,000,
+    # with the stop out of reach (P0 saturates after one). Solved 37
+    # restarts at a time, each round's accepted columns and residuals, and
+    # the images its completion clusters, reach _cluster with the bits and in
+    # the order of the default chunk, which solves each round at once.
     calls, cluster = {}, search._cluster
 
     def spied(clusters, vecs, res, radius):
@@ -270,7 +536,7 @@ def test_chunks_reach_cluster_in_restart_order(monkeypatch):
         calls[chunk] = []
         got = find_mu_vectors(make_family_pair("P0"), cfg, _chunk=chunk)
         assert got.restarts_run == 3000
-    assert len(calls[37]) == len(calls[search._WIDTH]) == 2
+    assert len(calls[37]) == len(calls[search._WIDTH]) > 3
     for (vecs, res), (vecs37, res37) in zip(calls[search._WIDTH], calls[37]):
         assert vecs.shape[1] > 0
         assert np.array_equal(vecs, vecs37)
@@ -566,6 +832,9 @@ def test_damped_step_matches_dense_solve():
                             for j in range(len(w))])
             dense = np.linalg.solve(jac.T @ jac + damping[c] * np.eye(d - 1), jac.T @ r[:, c])
             np.testing.assert_allclose(step[:, c], dense, rtol=1e-10, atol=1e-13)
+            # The isolation value is the smallest singular value of the same J.
+            sigma = np.linalg.svd(jac, compute_uv=False).min()
+            np.testing.assert_allclose(_isolation(h_conj, u)[c], sigma, rtol=1e-10, atol=1e-14)
 
 
 def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
@@ -740,10 +1009,11 @@ def test_no_restart_retires_in_single_precision(monkeypatch):
     # answer it started on.
     pair = MUPair(Basis(np.eye(6, dtype=complex)), reduce_P2()[0].second)
     h_conj = _h_conj(pair)
-    # Against I the answers are the u themselves, gauge-fixed with u_0 > 0.
+    # Against I the answers are the u themselves, up to phase: u_0 > 0 up to
+    # the rounding of the gauge fix (images of a symmetry have u_0 complex).
     answers = np.array(find_mu_vectors(pair, SearchConfig(restarts=2048, master_seed=0)).vectors).T
-    assert len(answers.T) == 90 and np.all(answers[0].imag == 0)
-    phases = np.angle(answers[1:])
+    assert len(answers.T) == 90 and np.abs(answers[0].imag).max() < 1e-15
+    phases = np.angle(answers[1:] / answers[0])
     widths, single_zero = [], set()
     residual, damped_step = search._residual, search._damped_step
 
@@ -785,12 +1055,12 @@ def test_cayley_update_keeps_u_flat():
     assert np.abs(np.abs(u) - 1 / math.sqrt(6)).max() <= 1e-15
     assert np.array_equal(_cayley(u, np.zeros((5, 2000))), u)
     # Every restart that converged within the step cap is accepted, and the
-    # recheck rejects none of them.
+    # recheck rejects none of them; the search stops after the first 128.
     v = _overlaps(u, pair.first.matrix.T)
-    converged = int((_residual(_overlaps(v, pair.basis_vectors().conj()), 1 / 6)[0] <= search.RESIDUAL_TOL).sum())
+    converged = _residual(_overlaps(v, pair.basis_vectors().conj()), 1 / 6)[0] <= search.RESIDUAL_TOL
     vecset = find_mu_vectors(pair, SearchConfig(restarts=2000, master_seed=0))
-    assert len(vecset) == 90
-    assert sum(vecset.hits) == converged == 1940
+    assert (len(vecset), vecset.restarts_run, converged.sum()) == (90, 128, 1940)
+    assert sum(vecset.hits) == converged[:128].sum()
 
 
 def test_gauge_fix_matches_per_row_formula():
