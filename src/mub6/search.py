@@ -33,8 +33,8 @@ _SATURATED = 16
 # A cluster is completed by the pair's symmetries only when it is isolated:
 # the smallest singular value of the phase Jacobian at its representative is
 # at least _ISOLATED; the representative first takes _POLISH Gauss-Newton
-# steps. A map is a symmetry when |H^dagger M H| lies within
-# _SYMMETRY of a permutation matrix; _MATCH is how near two unit-modulus
+# steps (_solve at damping 0). A map is a symmetry when |H^dagger M H| lies
+# within _SYMMETRY of a permutation matrix; _MATCH is how near two unit-modulus
 # ratios must be for the search over row images to keep a branch. A row of
 # that search whose candidate branches, times d^2, pass _BRANCHES (16 MiB of
 # complex entries) ends it with the identity alone, and the search runs as
@@ -57,13 +57,7 @@ _LEADS = 32
 # reaches 1e12 only after 15 failed steps in a row; RESIDUAL_TOL is both where
 # a restart stops and what it must reach to be accepted; CLUSTER_TOL is a
 # cluster's radius up to phase. find_mu_vectors reads them when it runs.
-# The first _SINGLE of the MAX_ITERS steps run in single precision: no
-# restart converges in fewer than four steps, so they always run at full
-# batch width, where a float32 step costs about 28% less than a double one
-# (2,048 restarts); the search's answers stay those of an all-double solve
-# (vectors within 4e-15), about 12-16% sooner.
 MAX_ITERS = 15
-_SINGLE = 4
 RESIDUAL_TOL = 1e-20
 CLUSTER_TOL = 1e-6
 
@@ -229,7 +223,7 @@ def _spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _jacobian(h_conj: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The real Jacobian d r_j / d phi_k = 2 Im(H_kj conj(u_k) w_j) of the
     residuals r_j = |w_j|^2 - 1/d for the free phases k = 1..d-1, indexed
-    [j, k - 1, column], with u and w = H^dagger u as in _solve_phases."""
+    [j, k - 1, column], with u and w = H^dagger u as in _solve."""
     jac = 2.0 * h_conj.T.conj()[:, 1:, None] * u[1:].conj()
     jac *= w[:, None]
     return np.ascontiguousarray(jac.imag)  # a real copy frees the complex products
@@ -248,12 +242,12 @@ def _damped_step(
     h_conj: np.ndarray, u: np.ndarray, w: np.ndarray, r: np.ndarray, damping: np.ndarray
 ) -> np.ndarray:
     """The Levenberg-Marquardt step (J^T J + damping I)^{-1} J^T r of each
-    restart (column) for its free phases, with u, w and r as in _solve_phases.
+    restart (column) for its free phases, with u, w and r as in _solve.
     Sums over j run in order, like _sum_rows."""
     free = len(u) - 1
     jac = _jacobian(h_conj, u, w)
     # The damped lower triangle of J^T J, a row at a time, over the residuals j.
-    jtj = np.empty((free, free, len(damping)), dtype=jac.dtype)
+    jtj = np.empty((free, free, len(damping)))
     for k in range(free):
         row = jtj[k, : k + 1]
         np.multiply(jac[0, : k + 1], jac[0, k], out=row)
@@ -283,83 +277,44 @@ def _cayley(u: np.ndarray, step: np.ndarray) -> np.ndarray:
     return out
 
 
-def _polish(h_conj: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """u (d, n) after _POLISH Gauss-Newton steps (_damped_step at damping
-    0, turned by _cayley), each kept only by the columns whose residual it
-    lowers. An accepted solution sits within about sqrt(RESIDUAL_TOL) of its
-    answer; near an isolated one each step squares that distance, down to
-    rounding."""
-    target = 1.0 / len(u)
-    w = _overlaps(u, h_conj)
-    f, r = _residual(w, target)
-    for _ in range(_POLISH):
-        trial = _cayley(u, _damped_step(h_conj, u, w, r, np.zeros(u.shape[1])))
-        w_trial = _overlaps(trial, h_conj)
-        f_trial, r_trial = _residual(w_trial, target)
-        better = f_trial < f
-        u, w, r, f = (np.where(better, new, old) for new, old in ((trial, u), (w_trial, w), (r_trial, r), (f_trial, f)))
-    return u
-
-
-def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float) -> np.ndarray:
-    """Batched Levenberg-Marquardt on the free phases phi_1..phi_{d-1} of
-    u = e^{i phi} / sqrt(d) (phi_0 = 0), driving |(H^dagger u)_j|^2 to 1/d.
-
-    phases holds the (d - 1, n) start phases and the returned u is (d, n), one
-    column per restart. The d residuals sum to zero, so the system is square.
+def _solve(u: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float, damping: float) -> np.ndarray:
+    """Batched Levenberg-Marquardt on the free phases phi_1..phi_{d-1} of the
+    (d, n) start points u, one column per restart, with u_0 fixed, driving
+    |(H^dagger u)_j|^2 to 1/d from the starting damping given. The d
+    residuals sum to zero, so the system is square. The solved points come
+    back as a new (d, n) array; u itself may be overwritten. At damping 0
+    the damping stays 0 and the steps are Gauss-Newton steps.
 
     The live restarts form one batch: a tuple of per-restart arrays, one
     column each, holding u, the overlaps w, the deviations r and the residual
     f of the restart's current point, then its index and its damping. Each of
     the max_iters iterations evaluates only its trial and copies it into
     (u, w, r, f) where it is better. A trial turns the phases of u by the LM
-    step through _cayley, so u is built from phases only at the start and at
-    the switch below.
-
-    The first _SINGLE iterations run in single precision (complex64 u and H,
-    float32 damping). Then u is rebuilt in double from its phases, so that
-    |u_k| = 1/sqrt(d) holds to double rounding, and the rest run in double.
-    A restart retires once its double residual is <= stop, and its column is
-    written out and dropped; none retires in single precision, where a
-    residual can reach stop far from a solution. The columns still live after
-    the last iteration are written out once after it. Every update is
-    elementwise over the restarts, so trajectories are identical whatever the
-    batch.
+    step through _cayley, so |u_k| stays that of the start. A restart retires
+    once its residual is <= stop, and its column is written out and dropped;
+    the columns still live after the last iteration are written out once
+    after it. Every update is elementwise over the restarts, so trajectories
+    are identical whatever the batch.
     """
-    d = len(h_conj)
-    n = phases.shape[1]
-    target = 1.0 / d
+    n = u.shape[1]
+    target = 1.0 / len(u)
 
     def evaluate(u: np.ndarray) -> tuple[np.ndarray, ...]:
-        w = _overlaps(u, h_conj.astype(u.dtype, copy=False))
+        w = _overlaps(u, h_conj)
         f, r = _residual(w, target)
         return u, w, r, f
 
-    def to_double(batch: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
-        u, _, _, _, rows, damping = batch
-        u = u.astype(complex)
-        u /= np.abs(u)
-        u /= math.sqrt(d)
-        return evaluate(u) + (rows, damping.astype(float))
-
-    u = np.empty((d, n), dtype=complex)
-    u[0] = 1.0 / math.sqrt(d)
-    np.exp(1j * phases, out=u[1:])
-    u[1:] /= math.sqrt(d)
-    batch = evaluate(u.astype(np.complex64)) + (np.arange(n), np.full(n, _DAMPING, dtype=np.float32))
-    out = np.empty((d, n), dtype=complex)
-    for it in range(max_iters):
-        if it == _SINGLE:
-            batch = to_double(batch)
-        if it >= _SINGLE:
-            live = batch[3] > stop
-            if not live.all():
-                out[:, batch[4][~live]] = batch[0][:, ~live]
-                batch = tuple(x[..., live] for x in batch)
-                if not live.any():
-                    break
+    batch = evaluate(u) + (np.arange(n), np.full(n, damping))
+    out = np.empty_like(u)
+    for _ in range(max_iters):
+        live = batch[3] > stop
+        if not live.all():
+            out[:, batch[4][~live]] = batch[0][:, ~live]
+            batch = tuple(x[..., live] for x in batch)
+            if not live.any():
+                break
         u, w, r, f, rows, damping = batch
-        step = _damped_step(h_conj.astype(u.dtype, copy=False), u, w, r, damping)
+        step = _damped_step(h_conj, u, w, r, damping)
         # A restart whose factorisation failed keeps its point: a failed step.
         step[:, ~np.isfinite(step).all(axis=0)] = 0.0
         trial = evaluate(_cayley(u, step))
@@ -371,10 +326,19 @@ def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: 
         # but would at any damping that large.
         with np.errstate(over="ignore"):
             damping *= np.where(better, 0.1, 10.0)
-    if max_iters <= _SINGLE:
-        batch = to_double(batch)
     out[:, batch[4]] = batch[0]
     return out
+
+
+def _solve_phases(phases: np.ndarray, h_conj: np.ndarray, max_iters: int, stop: float) -> np.ndarray:
+    """_solve from the start points u = e^{i phi} / sqrt(d) (phi_0 = 0) of
+    the (d - 1, n) start phases, at damping _DAMPING."""
+    d = len(h_conj)
+    u = np.empty((d, phases.shape[1]), dtype=complex)
+    u[0] = 1.0 / math.sqrt(d)
+    np.exp(1j * phases, out=u[1:])
+    u[1:] /= math.sqrt(d)
+    return _solve(u, h_conj, max_iters, stop, _DAMPING)
 
 
 def _gauge_fix(v: np.ndarray) -> np.ndarray:
@@ -577,9 +541,10 @@ def _complete(
     it are new. If the group is more than the identity, each new isolated
     cluster that no earlier one of them reached opens an orbit, in cluster
     order: its representative is taken to the {I, H} frame (u = A^dagger v),
-    polished, so that its images are as accurate as the best restarts,
-    mapped by every symmetry and pulled back, and the images that pass a
-    solved restart's gate (_accepted) are clustered after all the clusters.
+    polished by _POLISH undamped steps of _solve, so that its images are as
+    accurate as the best restarts, mapped by every symmetry and pulled back,
+    and the images that pass a solved restart's gate (_accepted) are
+    clustered after all the clusters.
     Every cluster without an index that they reach or open joins the orbit.
     Any other new cluster is an orbit of its own. An orbit's index is the
     index of the cluster that opened it. Images are not restarts: the hits
@@ -594,7 +559,7 @@ def _complete(
         for c, uc in zip(new[isolated].tolist(), u[:, isolated].T):
             if orbit[c] >= 0:
                 continue
-            uc = _polish(h_conj, uc[:, None])[:, 0]
+            uc = _solve(uc[:, None], h_conj, _POLISH, 0.0, 0.0)[:, 0]
             images = phases * np.where(conj[:, None], uc.conj()[perms], uc[perms])
             hits = clusters[3]
             clusters = _cluster(clusters, *_accepted(_overlaps(images.T, a.T), basis_conj), CLUSTER_TOL)

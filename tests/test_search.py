@@ -144,9 +144,9 @@ def test_find_mu_vectors_deterministic_and_chunk_independent():
 
 
 def test_find_mu_vectors_bit_identical_at_any_chunk():
-    # The single-precision steps too are elementwise over the restarts, so a
-    # chunk of one restart, odd chunks that split the rounds unevenly and
-    # the default chunk give the same bits.
+    # The solver's steps are elementwise over the restarts, so a chunk of one
+    # restart, odd chunks that split the rounds unevenly and the default
+    # chunk give the same bits.
     pair, _ = reduce_P2()
     cfg = SearchConfig(restarts=400, master_seed=5)
     runs = [find_mu_vectors(pair, cfg, _chunk=chunk) for chunk in (1, 7, 333, 4096)]
@@ -854,14 +854,13 @@ def test_solve_phases_counts_failed_factorisation_as_failed_step(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         u = _solve_phases(phases, h_conj, 200, 1e-20)
-    # Restart 0 never moves from its start, which it keeps up to the single
-    # precision of the first steps; the others are untouched by it.
+    # Restart 0 never moves from its start, which it keeps bit for bit; the
+    # others are untouched by it.
     _assert_kept_start(u[:, :1], phases[:, :1])
     assert np.array_equal(u[:, 1:], plain[:, 1:])
 
     # Alone, it fails once per iteration, its damping growing tenfold each
-    # time (to 1e197, with no warning, float32 for the first steps), until
-    # the step cap retires it.
+    # time (to 1e197, with no warning), until the step cap retires it.
     calls.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -956,13 +955,8 @@ def _start_points(phases):
 
 
 def _assert_kept_start(u, phases):
-    # A restart that never moved comes out at its start point, rounded to
-    # complex64 by the single-precision steps and rebuilt in double: u_0 is
-    # exactly 1/sqrt(d) and every |u_k| is 1/sqrt(d) to double rounding.
-    d = len(u)
-    assert np.all(u[0] == 1 / math.sqrt(d))
-    assert np.abs(np.abs(u) - 1 / math.sqrt(d)).max() <= 4e-16
-    assert 0 < np.abs(u - _start_points(phases)).max() <= 1e-7
+    # A restart that never moved comes out at its start point, bit for bit.
+    assert u.dtype == complex and np.array_equal(u, _start_points(phases))
 
 
 def test_restarts_retire_after_max_iters_steps(monkeypatch):
@@ -971,20 +965,18 @@ def test_restarts_retire_after_max_iters_steps(monkeypatch):
     calls = []
 
     def always_fails(a, b):
-        calls.append((b.shape[1], b.dtype))
+        calls.append((b.shape[1], a.dtype, b.dtype))
         return np.full_like(b, np.nan)
 
     monkeypatch.setattr(search, "_spd_solve", always_fails)
     # The three restarts of one batch fail every step, so none retires in the
-    # loop: each is written out after it, at its start point, in double
-    # whether the cap falls below, at or after the single-precision steps.
-    for max_iters in (2, search._SINGLE, 5):
+    # loop: each is written out after it, at its start point. Every step
+    # solves in double, whatever the cap.
+    for max_iters in (2, 4, 5):
         calls.clear()
         u = _solve_phases(phases, h_conj, max_iters, 1e-20)
-        assert u.dtype == complex
         _assert_kept_start(u, phases)
-        single = min(max_iters, search._SINGLE)
-        assert calls == [(3, np.float32)] * single + [(3, np.float64)] * (max_iters - single)
+        assert calls == [(3, np.float64, np.float64)] * max_iters
 
 
 def test_damping_past_the_double_range_raises_no_warning(monkeypatch):
@@ -1000,41 +992,40 @@ def test_damping_past_the_double_range_raises_no_warning(monkeypatch):
     _assert_kept_start(u, phases)
 
 
-def test_no_restart_retires_in_single_precision(monkeypatch):
-    # Restarts that start on the 90 exact S6 answers reach a float32 residual
-    # of 0, below the stop, during the single-precision steps, yet their
-    # points there are only accurate to about 1e-7. None retires or is
-    # written out before the switch to double: all 90 take every
-    # single-precision step and come out converged in double, each on the
-    # answer it started on.
+def _s6_answers():
+    # The 90 answers of {I, S6} and the pair's h_conj. Against I the answers
+    # are the u themselves, up to phase: u_0 > 0 up to the rounding of the
+    # gauge fix (images of a symmetry have u_0 complex).
     pair = MUPair(Basis(np.eye(6, dtype=complex)), reduce_P2()[0].second)
-    h_conj = _h_conj(pair)
-    # Against I the answers are the u themselves, up to phase: u_0 > 0 up to
-    # the rounding of the gauge fix (images of a symmetry have u_0 complex).
     answers = np.array(find_mu_vectors(pair, SearchConfig(restarts=2048, master_seed=0)).vectors).T
     assert len(answers.T) == 90 and np.abs(answers[0].imag).max() < 1e-15
+    return _h_conj(pair), answers
+
+
+def test_restarts_started_on_the_answers_converge_on_them():
+    # All 90 restarts started on the exact S6 answers come out converged, each
+    # on the answer it started on.
+    h_conj, answers = _s6_answers()
     phases = np.angle(answers[1:] / answers[0])
-    widths, single_zero = [], set()
-    residual, damped_step = search._residual, search._damped_step
-
-    def spied_residual(w, target):
-        f, r = residual(w, target)
-        if f.dtype == np.float32:
-            single_zero.update(np.flatnonzero(f <= search.RESIDUAL_TOL).tolist())
-        return f, r
-
-    def spied_step(h_conj, u, *args):
-        widths.append((u.shape[1], u.dtype))
-        return damped_step(h_conj, u, *args)
-
-    monkeypatch.setattr(search, "_residual", spied_residual)
-    monkeypatch.setattr(search, "_damped_step", spied_step)
     u = _solve_phases(phases, h_conj, search.MAX_ITERS, search.RESIDUAL_TOL)
-    assert single_zero
-    assert widths[: search._SINGLE] == [(90, np.complex64)] * search._SINGLE
-    assert widths[search._SINGLE][1] == complex
     assert (_residual(_overlaps(u, h_conj), 1 / 6)[0] <= search.RESIDUAL_TOL).all()
     assert np.abs(np.abs(np.einsum("ij,ij->j", u.conj(), _start_points(phases))) - 1).max() < 1e-12
+
+
+def test_undamped_steps_square_the_distance_to_an_isolated_answer():
+    # The completion polish is _solve at damping 0 and stop 0: Gauss-Newton
+    # steps, each squaring the distance to an isolated answer, here from 1e-5
+    # to rounding in _POLISH = 2 steps. u_0 never moves, and a step that does
+    # not lower the residual is not taken, so an exact answer stays as good.
+    h_conj, answers = _s6_answers()
+    u = answers / (answers[0] / np.abs(answers[0]))
+    turn = np.vstack([np.zeros(90), np.random.default_rng(0).normal(scale=1e-5, size=(5, 90))])
+    start = u * np.exp(1j * turn)
+    one, two = (search._solve(start.copy(), h_conj, k, 0.0, 0.0) for k in (1, search._POLISH))
+    assert np.abs(start - u).max() > 1e-5 and np.abs(one - u).max() < 1e-9 and np.abs(two - u).max() < 1e-14
+    assert np.array_equal(two[0], start[0])
+    kept = search._solve(u.copy(), h_conj, search._POLISH, 0.0, 0.0)
+    assert (_residual(_overlaps(kept, h_conj), 1 / 6)[0] <= _residual(_overlaps(u, h_conj), 1 / 6)[0]).all()
 
 
 def test_infinite_damping_gives_a_failed_step_with_no_warning():
