@@ -40,7 +40,9 @@ _SATURATED = 16
 # complex entries) ends it with the identity alone, and the search runs as
 # for a pair without symmetries. {I, F_d} for d = 11 to 13 and the 8 x 8
 # Sylvester-Hadamard pair, with groups of 1,152 to 21,504 maps, end so; S6
-# and F_d up to d = 8 reach a fifth of it, F_9 and F_10 about 60%.
+# and F_d up to d = 8 reach a fifth of it, F_9 and F_10 53% and 61%. The rows
+# read off a column map hold d times fewer entries, but the bound counts
+# them the same way.
 _ISOLATED = 1e-3
 _POLISH = 2
 _SYMMETRY = 1e-9
@@ -354,6 +356,13 @@ def _gauge_fix(v: np.ndarray) -> np.ndarray:
     return v * (pivot / np.hypot(pivot.real, pivot.imag)).conj()[:, None]
 
 
+def _key(vecs: np.ndarray) -> np.ndarray:
+    """|<x|v>| for each column v of vecs and the unit x with weights 1, 2,
+    ..., d: the key by which _near_pairs screens pairs."""
+    weights = np.arange(1.0, len(vecs) + 1)
+    return np.abs(_overlaps(vecs, (weights / np.linalg.norm(weights))[:, None])[0])
+
+
 def _near_pairs(
     centers: np.ndarray, center_key: np.ndarray, vecs: np.ndarray, key: np.ndarray, order: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -399,9 +408,9 @@ def _cluster(
 
     The first unclaimed column c becomes a center and claims every unclaimed
     v whose phase-optimal distance min_theta |c - e^{i theta} v| =
-    sqrt(2 - 2 |<c|v>|) is below radius, as _near_pairs screens and measures
-    it, by the key |<x|v>| for the unit x with weights 1, 2, ..., d. The
-    representative is the member with the best residual, the first on ties.
+    sqrt(2 - 2 |<c|v>|) is below radius, as _near_pairs screens (by _key)
+    and measures it. The representative is the member with the best
+    residual, the first on ties.
 
     The old centers lead the new columns. They lie pairwise outside each
     other's radius, so they stay clusters 0..m-1, in order, and claim first:
@@ -420,9 +429,7 @@ def _cluster(
     """
     old_centers, old_reps, best, old_hits = clusters
     cols, res = np.hstack([old_centers, vecs]), np.concatenate([best, res])
-    n = cols.shape[1]
-    weights = np.arange(1.0, len(cols) + 1)
-    key = np.abs(_overlaps(cols, (weights / np.linalg.norm(weights))[:, None])[0])
+    n, key = cols.shape[1], _key(cols)
     order = np.argsort(key)  # the unclaimed columns, sorted by key
     free = np.arange(n)  # the unclaimed columns, in column order
     owner = np.full(n, n)
@@ -484,7 +491,11 @@ def _symmetry_group(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     columns as a multiset; a class is the set of target columns that agree
     down to the previous row, labelled by its first column. A branch thus
     dies once rows 0 and 1 fail to carry the same multiset of column ratios
-    up to one phase, and no search lists all d! permutations.
+    up to one phase, and no search lists all d! permutations. Once every
+    class is a single column (from row 3 on for S6), a branch's labels are
+    its column map tau: D_r sends source column 0 to target column tau(0),
+    and the branch survives when each source column j reads as target column
+    tau(j) in row r, d tests in place of d x d matches.
     """
     d = len(h)
     target = h / h[0]
@@ -498,22 +509,33 @@ def _symmetry_group(h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cls = np.zeros(d, dtype=int)  # each target column's class
     for r in range(1, d):
         row = target[r]
-        value = (np.abs(row[:, None] - row) < _MATCH).argmax(axis=1)  # the first column of equal entry
-        key = cls * d + value
-        refined = (key[:, None] == key).argmax(axis=1)
-        refine = np.full(d * d, -1)
-        refine[key] = refined
         free = np.ones((len(conj), d), dtype=bool)
         free[np.arange(len(conj))[:, None], perms] = False
-        # Column 0 goes to the first column of a refined class inside its class.
-        lead = (cls == labels[:, :1]) & (refined == np.arange(d))
-        b, s, t = np.nonzero(free[:, :, None] & lead[:, None, :])
+        single = (cls == np.arange(d)).all()
+        if single:
+            b, s = np.nonzero(free)
+            t = labels[b, 0]
+        else:
+            value = (np.abs(row[:, None] - row) < _MATCH).argmax(axis=1)  # the first column of equal entry
+            key = cls * d + value
+            refined = (key[:, None] == key).argmax(axis=1)
+            refine = np.full(d * d, -1)
+            refine[key] = refined
+            # Column 0 goes to the first column of a refined class inside its class.
+            lead = (cls == labels[:, :1]) & (refined == np.arange(d))
+            b, s, t = np.nonzero(free[:, :, None] & lead[:, None, :])
         if len(b) * d * d > _BRANCHES:
             return np.arange(d)[None], np.ones((1, d), dtype=complex), np.zeros(1, dtype=bool)
-        near = np.abs((row[t, None] * quot[conj[b], perms[b, 0], s])[:, :, None] - row) < _MATCH
-        moved = np.where(near.any(axis=2), refine[labels[b] * d + value[near.argmax(axis=2)]], -1)
-        ok = (moved >= 0).all(axis=1) & (np.sort(moved, axis=1) == np.sort(refined)).all(axis=1)
-        b, s, t, labels, cls = b[ok], s[ok], t[ok], moved[ok], refined
+        read = row[t, None] * quot[conj[b], perms[b, 0], s]  # the source columns, read in this row
+        if single:
+            moved = labels[b]
+            ok = (np.abs(read - row[moved]) < _MATCH).all(axis=1)
+        else:
+            near = np.abs(read[:, :, None] - row) < _MATCH
+            moved = np.where(near.any(axis=2), refine[labels[b] * d + value[near.argmax(axis=2)]], -1)
+            ok = (moved >= 0).all(axis=1) & (np.sort(moved, axis=1) == np.sort(refined)).all(axis=1)
+            cls = refined
+        b, s, t, labels = b[ok], s[ok], t[ok], moved[ok]
         conj = conj[b]
         perms = np.column_stack([perms[b], s])
         phases = np.column_stack([phases[b], row[t] * source[conj, perms[:, 0], 0] / source[conj, s, 0]])
@@ -625,10 +647,9 @@ def find_mu_vectors(pair: MUPair, cfg: SearchConfig, _chunk: int = _WIDTH) -> MU
 
     # A continuum of solutions shows up as centers packed close to the
     # clustering scale; flag it rather than trying to parameterize it.
-    center_vecs = centers.T
-    dists_sq = np.maximum(2.0 - 2.0 * np.abs(center_vecs @ center_vecs.conj().T), 0.0)
-    np.fill_diagonal(dists_sq, np.inf)
-    manifold = bool(np.sqrt(dists_sq.min(initial=np.inf)) < 100.0 * CLUSTER_TOL)
+    key = _key(centers)
+    i, j = _near_pairs(centers, key, centers, key, np.argsort(key), 100.0 * CLUSTER_TOL)
+    manifold = bool((i != j).any())
 
     out = _gauge_fix(reps.T)
     order = np.lexsort(np.round(np.concatenate([out.real, out.imag], axis=1), 9).T[::-1])

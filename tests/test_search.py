@@ -107,6 +107,35 @@ def test_find_mu_vectors_d2():
     assert not vecset.manifold_warning
 
 
+def _gram_manifold_warning(centers):
+    """Whether two of the (d, m) centers lie within 100 CLUSTER_TOL of each
+    other up to phase, read off their full Gram matrix."""
+    dists_sq = np.maximum(2.0 - 2.0 * np.abs(centers.T @ centers.conj()), 0.0)
+    np.fill_diagonal(dists_sq, np.inf)
+    return bool(np.sqrt(dists_sq.min(initial=np.inf)) < 100.0 * search.CLUSTER_TOL)
+
+
+def test_manifold_warning_matches_the_center_gram_matrix(monkeypatch):
+    # Random centers far apart, and among them one pair at a phase-optimal
+    # distance just inside or just outside 100 CLUSTER_TOL: c and
+    # e^{i theta} (cos(a) c + sin(a) y), y a unit vector orthogonal to c, lie
+    # 2 sin(a / 2) apart.
+    rng = np.random.default_rng(11)
+    for d, scale, want in ((3, 0.999, True), (3, 1.001, False), (6, 0.999, True), (6, 1.001, False)):
+        centers = rng.normal(size=(d, 40)) + 1j * rng.normal(size=(d, 40))
+        centers /= np.linalg.norm(centers, axis=0)
+        c = centers[:, 7]
+        y = rng.normal(size=d) + 1j * rng.normal(size=d)
+        y -= np.vdot(c, y) * c
+        a = 2.0 * np.arcsin(scale * 100.0 * search.CLUSTER_TOL / 2.0)
+        centers[:, 29] = np.exp(2j) * (np.cos(a) * c + np.sin(a) * y / np.linalg.norm(y))
+        assert _gram_manifold_warning(centers) is want
+        # The search lists these centers as its clusters, one orbit each.
+        clusters = (centers, centers, np.zeros(40), np.full(40, search._SATURATED))
+        monkeypatch.setattr(search, "_complete", lambda *args: (clusters, np.arange(40)))
+        assert find_mu_vectors(_fourier_pair(d), SearchConfig(restarts=8, master_seed=0)).manifold_warning is want
+
+
 def test_find_mu_vectors_d3():
     for pair in pairs_d3():
         vecset = find_mu_vectors(pair, SearchConfig(restarts=400, master_seed=0))
@@ -346,8 +375,17 @@ GROUPS = {
     "F4": (lambda: _fourier_pair(4), 64),
     "F5": (lambda: _fourier_pair(5), 200),
     "F7": (lambda: _fourier_pair(7), 588),
+    "F8": (lambda: _fourier_pair(8), 512),
+    "F9": (lambda: _fourier_pair(9), 972),
+    "F10": (lambda: _fourier_pair(10), 800),
     "XY3": (lambda: pairs_d3()[2], 36),
 }
+
+
+def _sylvester_pair():
+    """{I, H2 x H2 x H2}, the 8 x 8 Sylvester-Hadamard pair."""
+    f2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    return MUPair(Basis(np.eye(8, dtype=complex)), Basis(np.kron(np.kron(f2, f2), f2).astype(complex)))
 
 
 @pytest.mark.parametrize("name", list(GROUPS))
@@ -379,14 +417,66 @@ def test_a_group_search_too_large_to_hold_leaves_the_identity():
     # 2,420: a row of either search would hold more than _BRANCHES entries,
     # so the search keeps the identity alone and runs as for a pair without
     # symmetries, a cap below 2,048 in one round.
-    f2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    sylvester = MUPair(Basis(np.eye(8, dtype=complex)), Basis(np.kron(np.kron(f2, f2), f2).astype(complex)))
+    sylvester = _sylvester_pair()
     for pair in (sylvester, _fourier_pair(11)):
         perms, phases, conj = _symmetry_group(_frame(pair))
         identity = ([list(range(pair.dim))], [[1.0] * pair.dim], [False])
         assert (perms.tolist(), phases.tolist(), conj.tolist()) == identity
     got = find_mu_vectors(sylvester, SearchConfig(restarts=300, master_seed=0))
     assert (got.group_order, got.restarts_run) == (1, 300) and got.orbits == tuple(range(len(got)))
+
+
+def _class_search_reference(h):
+    """The search over row images that matches every source column against
+    every target column at every row, class by class, also once each class
+    is a single column: _symmetry_group then reads the rows off the column
+    map and must give these maps, in this order, with these bits."""
+    d = len(h)
+    target = h / h[0]
+    source = np.stack([h, h.conj()])
+    quot = source[:, None] / source[:, :, None]
+    quot /= quot[..., :1]
+    conj = np.repeat([0, 1], d)
+    perms = np.tile(np.arange(d), 2)[:, None]
+    phases = np.ones((2 * d, 1), dtype=complex)
+    labels = np.zeros((2 * d, d), dtype=int)
+    cls = np.zeros(d, dtype=int)
+    for r in range(1, d):
+        row = target[r]
+        value = (np.abs(row[:, None] - row) < search._MATCH).argmax(axis=1)
+        key = cls * d + value
+        refined = (key[:, None] == key).argmax(axis=1)
+        refine = np.full(d * d, -1)
+        refine[key] = refined
+        free = np.ones((len(conj), d), dtype=bool)
+        free[np.arange(len(conj))[:, None], perms] = False
+        lead = (cls == labels[:, :1]) & (refined == np.arange(d))
+        b, s, t = np.nonzero(free[:, :, None] & lead[:, None, :])
+        if len(b) * d * d > search._BRANCHES:
+            return np.arange(d)[None], np.ones((1, d), dtype=complex), np.zeros(1, dtype=bool)
+        near = np.abs((row[t, None] * quot[conj[b], perms[b, 0], s])[:, :, None] - row) < search._MATCH
+        moved = np.where(near.any(axis=2), refine[labels[b] * d + value[near.argmax(axis=2)]], -1)
+        ok = (moved >= 0).all(axis=1) & (np.sort(moved, axis=1) == np.sort(refined)).all(axis=1)
+        b, s, t, labels, cls = b[ok], s[ok], t[ok], moved[ok], refined
+        conj = conj[b]
+        perms = np.column_stack([perms[b], s])
+        phases = np.column_stack([phases[b], row[t] * source[conj, perms[:, 0], 0] / source[conj, s, 0]])
+    keep = _map_defects(h, perms, phases, conj) <= search._SYMMETRY
+    return perms[keep], phases[keep], conj[keep] == 1
+
+
+@pytest.mark.parametrize("name", [*GROUPS, "Sylvester", "F11"])
+def test_symmetry_group_matches_the_class_search(name):
+    # From row 2 (F_d, XY3), 3 (S6) or 4 (P0, P1, P3, Ftilde) on, every class
+    # is a single column and the search reads the rows off the column map;
+    # F2 has no such row. {I, F11} reaches one at row 2 with 2,420 branches
+    # and ends there at the _BRANCHES bound, the Sylvester pair before any:
+    # both with the identity alone.
+    make, order = {**GROUPS, "Sylvester": (_sylvester_pair, 1), "F11": (lambda: _fourier_pair(11), 1)}[name]
+    h = _frame(make())
+    got, want = _symmetry_group(h), _class_search_reference(h)
+    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(got, want))
+    assert len(got[0]) == order
 
 
 def _images(pair, vectors, group):
