@@ -109,24 +109,18 @@ def _apply_raw(m1: np.ndarray, m2: np.ndarray, move: Move) -> tuple[np.ndarray, 
     return (m, m2) if move.member == "first" else (m1, m)
 
 
-def _apply_checked(m1: np.ndarray, m2: np.ndarray, move: Move, idx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Move number idx applied to the pair (m1, m2), which must stay mutually
-    unbiased within MU_TOL."""
-    m1, m2 = _apply_raw(m1, m2, move)
-    check = is_mu_pair(m1, m2)
-    if not check.ok:
-        raise InvalidMoveError(
-            f"move {idx} ({move.kind}) broke mutual unbiasedness: "
-            f"deviation {check.worst_deviation:.3e}"
-        )
-    return m1, m2
-
-
 def apply_script(pair: MUPair, script: Sequence[Move]) -> MUPair:
-    """Replay a script on a pair, checking the MU invariant after every move."""
+    """Replay a script on a pair, checking after every move that the pair
+    stays mutually unbiased within MU_TOL."""
     m1, m2 = pair.first.matrix, pair.second.matrix
     for idx, move in enumerate(script):
-        m1, m2 = _apply_checked(m1, m2, move, idx)
+        m1, m2 = _apply_raw(m1, m2, move)
+        check = is_mu_pair(m1, m2)
+        if not check.ok:
+            raise InvalidMoveError(
+                f"move {idx} ({move.kind}) broke mutual unbiasedness: "
+                f"deviation {check.worst_deviation:.3e}"
+            )
     return MUPair(Basis(m1), Basis(m2))
 
 
@@ -171,7 +165,7 @@ def dephase(h) -> tuple[np.ndarray, tuple[Move, ...]]:
     return _replay(eye, m, rows)[1], (cols, *rows)
 
 
-def _restore_first_moves(m1: np.ndarray) -> list[Move]:
+def _restore_first_moves(m1: np.ndarray) -> tuple[Move, ...]:
     """Column moves turning a monomial first member back into the identity.
 
     The member must equal the identity basis up to column order and phases;
@@ -192,7 +186,7 @@ def _restore_first_moves(m1: np.ndarray) -> list[Move]:
     undo = -np.asarray(witness.phases)[sigma]
     if np.abs(undo).max() > 1e-15:
         moves.append(Move("right-diag-phase", "first", phases=undo))
-    return moves
+    return tuple(moves)
 
 
 def reduce_P1(xi: float, eta: float) -> tuple[MUPair, tuple[Move, ...]]:
@@ -257,27 +251,20 @@ def reduce_P2() -> tuple[MUPair, tuple[Move, ...]]:
     Fixed move order: left-multiply by [[I, 0], [0, i Hy^dagger]], restore the
     first member, swap rows 2<->3 then 4<->5 (1-based), permute columns of the
     second member 2<->6, 3<->5, 4<->5, multiply rows 4 and 6 by w^2, and
-    restore the first member again, checking each move as apply_script does.
-    The second member ends as a complex Hadamard whose dephased entry phases
-    are all cube roots of unity.
+    restore the first member again. Each restore reads the first member off an
+    unchecked replay of the script so far; apply_script then replays the whole
+    script, checking each move. The second member ends as a complex Hadamard
+    whose dephased entry phases are all cube roots of unity.
     """
     pair = make_family_pair("P2")
+    m1, m2 = pair.first.matrix, pair.second.matrix
     hy = hw_eigenbasis(3, "y").matrix
     zero = np.zeros((3, 3))
     u = np.block([[np.eye(3), zero], [zero, 1j * hy.conj().T]])
-    moves: list[Move] = []
-    m1, m2 = pair.first.matrix, pair.second.matrix
-
-    def push(*new: Move) -> None:
-        nonlocal m1, m2
-        for mv in new:
-            m1, m2 = _apply_checked(m1, m2, mv, len(moves))
-            moves.append(mv)
-
-    push(Move("left-unitary", matrix=u))
-    push(*_restore_first_moves(m1))
+    script = (Move("left-unitary", matrix=u),)
+    script += _restore_first_moves(_replay(m1, m2, script)[0])
     w2_angle = float(np.angle(OMEGA2))
-    push(
+    script += (
         Move("permute-rows", perm=(0, 2, 1, 3, 4, 5)),
         Move("permute-rows", perm=(0, 1, 2, 4, 3, 5)),
         Move("permute-cols", "second", perm=(0, 5, 2, 3, 4, 1)),
@@ -285,12 +272,12 @@ def reduce_P2() -> tuple[MUPair, tuple[Move, ...]]:
         Move("permute-cols", "second", perm=(0, 1, 2, 4, 3, 5)),
         Move("left-diag-phase", phases=(0.0, 0.0, 0.0, w2_angle, 0.0, w2_angle)),
     )
-    push(*_restore_first_moves(m1))
-
-    first_dev = float(np.abs(m1 - np.eye(6)).max())
+    script += _restore_first_moves(_replay(m1, m2, script)[0])
+    out = apply_script(pair, script)
+    first_dev = float(np.abs(out.first.matrix - np.eye(6)).max())
     if first_dev > EQ_TOL:
         raise InvalidMoveError(f"P2 reduction failed to restore the identity ({first_dev:.3e})")
-    return MUPair(Basis(m1), Basis(m2)), tuple(moves)
+    return out, script
 
 
 @dataclass(frozen=True)

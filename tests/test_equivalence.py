@@ -24,6 +24,8 @@ from mub6 import (
     reduce_P2,
     reduce_P3,
 )
+from mub6 import equivalence
+from mub6.linalg import OMEGA2
 from mub6.serialize import dump_json, load_json, script_from_dict, script_to_dict
 
 OMEGA_ANGLES = (0.0, 2 * np.pi / 3, 4 * np.pi / 3)
@@ -155,6 +157,60 @@ def test_reduce_P2_pair_is_its_script_replayed():
     replayed = apply_script(make_family_pair("P2"), script)
     assert out.first.matrix.tobytes() == replayed.first.matrix.tobytes()
     assert out.second.matrix.tobytes() == replayed.second.matrix.tobytes()
+
+
+def _reduce_P2_reference():
+    # The P2 reduction built move by move: each move is applied and checked
+    # as it is chosen, and each restore reads the running first member.
+    pair = make_family_pair("P2")
+    hy = hw_eigenbasis(3, "y").matrix
+    zero = np.zeros((3, 3))
+    u = np.block([[np.eye(3), zero], [zero, 1j * hy.conj().T]])
+    moves = []
+    m1, m2 = pair.first.matrix, pair.second.matrix
+
+    def push(*new):
+        nonlocal m1, m2
+        for mv in new:
+            m1, m2 = equivalence._apply_raw(m1, m2, mv)
+            assert is_mu_pair(m1, m2).ok
+            moves.append(mv)
+
+    push(Move("left-unitary", matrix=u))
+    push(*equivalence._restore_first_moves(m1))
+    w2_angle = float(np.angle(OMEGA2))
+    push(
+        Move("permute-rows", perm=(0, 2, 1, 3, 4, 5)),
+        Move("permute-rows", perm=(0, 1, 2, 4, 3, 5)),
+        Move("permute-cols", "second", perm=(0, 5, 2, 3, 4, 1)),
+        Move("permute-cols", "second", perm=(0, 1, 4, 3, 2, 5)),
+        Move("permute-cols", "second", perm=(0, 1, 2, 4, 3, 5)),
+        Move("left-diag-phase", phases=(0.0, 0.0, 0.0, w2_angle, 0.0, w2_angle)),
+    )
+    push(*equivalence._restore_first_moves(m1))
+    return m1, m2, tuple(moves)
+
+
+def test_reduce_P2_matches_the_move_by_move_reference():
+    # A reference computed here, not a stored digest: the left-unitary move is
+    # a BLAS product, whose last bits may differ between hosts.
+    out, script = reduce_P2()
+    m1, m2, reference = _reduce_P2_reference()
+    assert script == reference
+    assert [move.kind for move in script] == [
+        "left-unitary",
+        "right-diag-phase",
+        "permute-rows",
+        "permute-rows",
+        "permute-cols",
+        "permute-cols",
+        "permute-cols",
+        "left-diag-phase",
+        "permute-cols",
+        "right-diag-phase",
+    ]
+    assert out.first.matrix.tobytes() == m1.tobytes()
+    assert out.second.matrix.tobytes() == m2.tobytes()
 
 
 def test_script_replay_is_bit_stable():
